@@ -57,9 +57,9 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 # Excluded: the oversubscription test pins an OpenMP team of 4, whose
 # libgomp barriers TSan cannot see (same reason OMP is pinned to 1 above);
 # its correctness claims are covered by the regular CI job.
-# estimator suites: the EstimatorIndex shared_mutex (maintenance thread
-#   vs worker-pool estimator reads) and the fleet lockstep test's
-#   estimator traffic over the live socket stack.
+# estimator suites: the EstimatorIndex locks (the maintenance thread vs
+#   estimator reads; HybridTest races them directly) and the fleet
+#   lockstep test's estimator traffic over the live socket stack.
 # Suppressions: see ci/tsan.supp (libstdc++ atomic<shared_ptr> internals).
 OMP_NUM_THREADS=1 \
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 suppressions=$(pwd)/ci/tsan.supp" \

@@ -23,38 +23,49 @@ EstimatorIndex::EstimatorIndex(const DynamicGraph& snapshot,
 
 void EstimatorIndex::ApplyBatch(const UpdateBatch& batch,
                                 uint64_t epoch_increment) {
-  std::unique_lock lock(mu_);
-  // Walk repair needs the intermediate graph after each single update;
-  // reverse restore is path-independent, so targets catch up once at the
-  // end from the set of touched out-rows.
+  std::lock_guard maint(maint_mu_);
+  // Walk repair needs the intermediate graph after each single update.
+  // Repairs are computed while reads go on (only this thread writes the
+  // index) and committed one update at a time.
   for (const EdgeUpdate& update : batch) {
     graph_.Apply(update);
     ++update_seq_;
-    walks_.ApplyUpdate(graph_, update, update_seq_);
+    WalkIndex::Repairs repairs = walks_.Repair(graph_, update, update_seq_);
+    std::unique_lock lock(mu_);
+    walks_.Commit(graph_, std::move(repairs), update_seq_);
   }
-  if (!targets_.empty() && !batch.empty()) {
-    std::unordered_set<VertexId> touched;
-    for (const EdgeUpdate& update : batch) touched.insert(update.u);
-    for (auto& [t, state] : targets_) {
-      state->EnsureCapacity(graph_.NumVertices());
-      for (const VertexId u : touched) state->RestoreVertex(u);
-      state->Push();
+  // Reverse restore is path-independent, so each target catches up once
+  // at the end from the set of touched out-rows, under its own lock.
+  const uint64_t epoch = epoch_ + epoch_increment;
+  std::unordered_set<VertexId> touched;
+  for (const EdgeUpdate& update : batch) touched.insert(update.u);
+  for (auto& [t, target] : targets_) {
+    std::unique_lock lock(target->mu);
+    if (!batch.empty()) {
+      target->state.EnsureCapacity(graph_.NumVertices());
+      for (const VertexId u : touched) target->state.RestoreVertex(u);
+      target->state.Push();
     }
+    target->epoch = epoch;
   }
-  epoch_ += epoch_increment;
+  std::unique_lock lock(mu_);
+  epoch_ = epoch;
 }
 
 bool EstimatorIndex::AddTarget(VertexId t) {
-  std::unique_lock lock(mu_);
+  std::lock_guard maint(maint_mu_);
   if (!graph_.IsValid(t)) return false;
   if (targets_.count(t) > 0) return true;
-  targets_.emplace(t, std::make_unique<ReverseTargetState>(
-                          &graph_, t,
-                          ReverseOptions{options_.alpha, options_.eps}));
+  auto target = std::make_unique<Target>(
+      &graph_, t, ReverseOptions{options_.alpha, options_.eps});
+  target->epoch = epoch_;
+  std::unique_lock lock(mu_);
+  targets_.emplace(t, std::move(target));
   return true;
 }
 
 bool EstimatorIndex::RemoveTarget(VertexId t) {
+  std::lock_guard maint(maint_mu_);
   std::unique_lock lock(mu_);
   return targets_.erase(t) > 0;
 }
@@ -68,7 +79,7 @@ std::vector<VertexId> EstimatorIndex::Targets() const {
   std::shared_lock lock(mu_);
   std::vector<VertexId> out;
   out.reserve(targets_.size());
-  for (const auto& [t, state] : targets_) out.push_back(t);
+  for (const auto& [t, target] : targets_) out.push_back(t);
   return out;
 }
 
@@ -85,9 +96,11 @@ PairResult EstimatorIndex::QueryPair(VertexId s, VertexId t) const {
   PairResult out;
   auto it = targets_.find(t);
   if (it == targets_.end()) return out;
+  const Target& target = *it->second;
+  std::shared_lock target_lock(target.mu);
   out.known = true;
-  out.epoch = epoch_;
-  out.estimate = MakeEstimate(it->second->Estimate(s));
+  out.epoch = target.epoch;
+  out.estimate = MakeEstimate(target.state.Estimate(s));
   return out;
 }
 
@@ -96,14 +109,16 @@ PairResult EstimatorIndex::HybridPair(VertexId s, VertexId t) const {
   PairResult out;
   auto it = targets_.find(t);
   if (it == targets_.end()) return out;
-  const double base = it->second->Estimate(s);
+  const Target& target = *it->second;
+  std::shared_lock target_lock(target.mu);
+  const double base = target.state.Estimate(s);
   // BiPPR identity: the residual trace-sum is an unbiased estimate of
   // pi_s(t) - x_t(s); the deterministic +/- eps interval around the push
   // value still contains the truth, so clamp the corrected point into it.
   const double corrected =
-      base + walks_.TraceSumMean(s, it->second->residuals());
+      base + walks_.TraceSumMean(s, target.state.residuals());
   out.known = true;
-  out.epoch = epoch_;
+  out.epoch = target.epoch;
   out.estimate = MakeEstimate(base);
   out.estimate.value =
       std::clamp(corrected, out.estimate.lower, out.estimate.upper);
@@ -115,9 +130,11 @@ ReverseTopKResult EstimatorIndex::ReverseTopK(VertexId t, int k) const {
   ReverseTopKResult out;
   auto it = targets_.find(t);
   if (it == targets_.end()) return out;
+  const Target& target = *it->second;
+  std::shared_lock target_lock(target.mu);
   out.known = true;
-  out.epoch = epoch_;
-  out.topk = TopKWithGuarantee(it->second->estimates(), options_.eps, k);
+  out.epoch = target.epoch;
+  out.topk = TopKWithGuarantee(target.state.estimates(), options_.eps, k);
   return out;
 }
 
@@ -127,7 +144,7 @@ uint64_t EstimatorIndex::epoch() const {
 }
 
 uint64_t EstimatorIndex::GraphChecksum() const {
-  std::shared_lock lock(mu_);
+  std::lock_guard maint(maint_mu_);
   return graph_.Checksum();
 }
 

@@ -13,8 +13,23 @@
 // update k requires the graph state after exactly updates 1..k — while
 // the service's PprIndex applies whole batches to its own graph; a
 // private replica applied one update at a time keeps walk determinism
-// exact. An internal shared_mutex serializes maintenance (unique) against
-// queries (shared); forward reads through PprIndex never touch this lock.
+// exact. Forward reads through PprIndex never touch the locks below.
+//
+// Locking: maintenance never holds a lock that reads take for longer
+// than one target's push or one update's walk commit, so a read waits
+// for that much at most, never for a whole batch:
+//  * maint_mu_ serializes the writers (ApplyBatch, AddTarget,
+//    RemoveTarget) and guards the replica, which reads never touch;
+//  * mu_ guards the target map, the walk index and the epoch — writers
+//    hold it exclusively only to insert or erase a target, to commit one
+//    update's walk repairs, and to publish the batch's epoch;
+//  * each target's own lock guards its push state and epoch while
+//    maintenance restores and pushes that target.
+// A read during a batch sees each target before or after its push, and
+// reports that target's epoch. A hybrid read there may combine walks
+// repaired for the batch with a target not yet pushed: its point stays
+// clamped inside the interval of the epoch it reports, and the
+// correction is unbiased again once the batch is done.
 //
 // Durability: estimator state is VOLATILE. Targets are registered by
 // clients and not written to the batch log; after crash recovery the
@@ -28,6 +43,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <vector>
 
@@ -72,12 +88,14 @@ class EstimatorIndex {
   EstimatorIndex(const DynamicGraph& snapshot, const EstimatorOptions& options);
 
   /// Applies `batch` to the replica (one update at a time, repairing
-  /// walks per update), then restores + pushes every registered target.
-  /// Must mirror the exact update feed the serving index applies.
+  /// walks per update), then restores + pushes every registered target,
+  /// one at a time. Must mirror the exact update feed the serving index
+  /// applies.
   void ApplyBatch(const UpdateBatch& batch, uint64_t epoch_increment);
 
-  /// Registers a target (idempotent). Returns false if `t` is not a valid
-  /// vertex of the replica.
+  /// Registers a target (idempotent), pushing its state from scratch
+  /// before reads can see it. Returns false if `t` is not a valid vertex
+  /// of the replica.
   bool AddTarget(VertexId t);
   /// Returns false if `t` was not registered.
   bool RemoveTarget(VertexId t);
@@ -94,15 +112,27 @@ class EstimatorIndex {
   uint64_t GraphChecksum() const;
 
  private:
+  /// One registered target: its push state behind its own lock.
+  struct Target {
+    Target(const DynamicGraph* graph, VertexId t,
+           const ReverseOptions& options)
+        : state(graph, t, options) {}
+    mutable std::shared_mutex mu;
+    ReverseTargetState state;  ///< guarded by mu
+    uint64_t epoch = 0;        ///< guarded by mu: the epoch state reflects
+  };
+
   PointEstimate MakeEstimate(double value) const;
 
+  mutable std::mutex maint_mu_;
   mutable std::shared_mutex mu_;
   EstimatorOptions options_;
-  DynamicGraph graph_;
-  WalkIndex walks_;
-  std::map<VertexId, std::unique_ptr<ReverseTargetState>> targets_;
-  uint64_t epoch_ = 0;       ///< mirrors the serving index epoch
-  uint64_t update_seq_ = 0;  ///< per-update counter keying walk RNG streams
+  DynamicGraph graph_;  ///< guarded by maint_mu_
+  WalkIndex walks_;     ///< written under both locks, read under either
+  /// Shape written under both locks, read under either.
+  std::map<VertexId, std::unique_ptr<Target>> targets_;
+  uint64_t epoch_ = 0;  ///< mirrors the serving index epoch; as targets_
+  uint64_t update_seq_ = 0;  ///< guarded by maint_mu_; keys walk RNGs
 };
 
 }  // namespace dppr

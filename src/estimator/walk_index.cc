@@ -36,10 +36,15 @@ void WalkIndex::Initialize(const DynamicGraph& graph) {
 
 void WalkIndex::ApplyUpdate(const DynamicGraph& graph,
                             const EdgeUpdate& update, uint64_t update_epoch) {
-  store_.EnsureVertexCapacity(graph.NumVertices());
-  // Affected walks are captured BEFORE appending walks for new vertices:
-  // fresh walks are simulated on the post-update graph and must not be
-  // repaired for the very update that created them.
+  Commit(graph, Repair(graph, update, update_epoch), update_epoch);
+}
+
+WalkIndex::Repairs WalkIndex::Repair(const DynamicGraph& graph,
+                                     const EdgeUpdate& update,
+                                     uint64_t update_epoch) const {
+  // Only walks already indexed are affected: walks for vertices the
+  // update creates are simulated on the post-update graph by Commit and
+  // must not be repaired for the very update that created them.
   const std::vector<int64_t> affected = store_.WalksThrough(update.u);
 
   std::vector<std::optional<Walk>> replacements(affected.size());
@@ -57,12 +62,21 @@ void WalkIndex::ApplyUpdate(const DynamicGraph& graph,
                                            store_.GetWalk(id), update.u,
                                            update.v, &rng, &steps);
   }
+  Repairs repairs;
   for (size_t i = 0; i < affected.size(); ++i) {
     if (!replacements[i].has_value()) continue;
-    store_.ReplaceWalk(affected[i], std::move(*replacements[i]));
+    repairs.emplace_back(affected[i], std::move(*replacements[i]));
+  }
+  return repairs;
+}
+
+void WalkIndex::Commit(const DynamicGraph& graph, Repairs repairs,
+                       uint64_t update_epoch) {
+  store_.EnsureVertexCapacity(graph.NumVertices());
+  for (auto& [id, walk] : repairs) {
+    store_.ReplaceWalk(id, std::move(walk));
     ++walks_repaired_;
   }
-
   AppendWalksForNewVertices(graph, update_epoch);
 }
 

@@ -26,6 +26,7 @@
 #define DPPR_ESTIMATOR_WALK_INDEX_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/dynamic_graph.h"
@@ -44,7 +45,7 @@ struct WalkIndexOptions {
 
 /// \brief Replicated per-vertex walk store with incremental repair.
 ///
-/// Thread-safety: none; the owner serializes maintenance against reads.
+/// Thread-safety: none; the owner serializes commits against reads.
 class WalkIndex {
  public:
   explicit WalkIndex(const WalkIndexOptions& options);
@@ -53,13 +54,27 @@ class WalkIndex {
   /// (update epoch 0). Replaces any previous contents.
   void Initialize(const DynamicGraph& graph);
 
+  /// Replacement walks by id: the repairs one update calls for.
+  using Repairs = std::vector<std::pair<int64_t, Walk>>;
+
   /// Maintains the index for ONE update `graph` has ALREADY applied.
   /// `update_epoch` is the caller's count of updates processed so far
   /// (1-based) — it keys the repair RNG streams, so it must advance by
   /// exactly one per update regardless of batching. New vertices
   /// introduced by the update get fresh walks appended in id order.
+  /// Same as Commit(graph, Repair(graph, update, update_epoch), ...).
   void ApplyUpdate(const DynamicGraph& graph, const EdgeUpdate& update,
                    uint64_t update_epoch);
+
+  /// ApplyUpdate in two halves, so an owner can let readers use the
+  /// index while an update's repairs are computed and lock them out only
+  /// for the commit. Repair only reads the index; Commit writes the
+  /// repairs and appends walks for new vertices. Commit each update's
+  /// repairs before repairing the next update.
+  Repairs Repair(const DynamicGraph& graph, const EdgeUpdate& update,
+                 uint64_t update_epoch) const;
+  void Commit(const DynamicGraph& graph, Repairs repairs,
+              uint64_t update_epoch);
 
   /// Mean over s's walks of sum_{v in trace} residuals[v] — the unbiased
   /// hybrid correction term. `s` outside the indexed range returns 0.

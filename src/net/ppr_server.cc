@@ -148,10 +148,10 @@ void PprServer::EpollLoop() {
 
 void PprServer::AcceptNewConns() {
   for (;;) {
-    const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN (or a transient error): nothing to do
-    ScopedFd scoped(fd);
-    if (!SetNonBlocking(fd).ok()) continue;  // drops the connection
+    ScopedFd scoped;
+    // EAGAIN (or a transient error): nothing to do.
+    if (!TcpAccept(listen_fd_.get(), &scoped).ok()) return;
+    const int fd = scoped.get();
     auto conn = std::make_shared<Conn>(std::move(scoped));
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -211,9 +211,9 @@ bool PprServer::ServiceReadable(const std::shared_ptr<Conn>& conn) {
               std::chrono::steady_clock::now()};
     if (!handler_queue_.TryPush(std::move(work))) {
       // Transport-level admission control, same contract as the service
-      // queues: too busy is an answer, not a hang. Written under the
-      // TIGHT deadline — this runs on the I/O thread, which owes every
-      // other connection its attention.
+      // queues: too busy is an answer, not a hang. Queued or written
+      // under the TIGHT deadline — this runs on the I/O thread, which
+      // owes every other connection its attention.
       WriteStatusResponse(conn, header.verb, header.request_id,
                           RequestStatus::kShedQueueFull,
                           options_.io_write_timeout_ms,
@@ -465,26 +465,52 @@ void PprServer::WriteResponse(const std::shared_ptr<Conn>& conn, Verb verb,
   frame.append(payload);
   std::unique_lock<std::mutex> lock(conn->write_mu, std::defer_lock);
   if (try_only) {
-    if (!lock.try_lock()) {
-      // I/O-thread mode, mutex busy: a handler is mid-write to this very
-      // connection while it floods past the handler queue. The I/O
-      // thread owes every OTHER connection its attention, so disconnect
-      // this one rather than wait (the peer's client maps the EOF to
-      // kUnavailable — answered, not hung).
-      (void)::shutdown(conn->fd.get(), SHUT_RDWR);
-      return;
+    // I/O-thread mode: queue the frame, then send the queue only if no
+    // handler is mid-write to this connection. The I/O thread owes every
+    // OTHER connection its attention, so it never waits for the mutex;
+    // the handler holding it sends the queue before letting go.
+    {
+      std::lock_guard<std::mutex> shed(conn->shed_mu);
+      if (conn->shed_frames.size() + frame.size() >
+          options_.max_frame_payload) {
+        // The peer floods without reading its answers: disconnect it
+        // (its client maps the EOF to kUnavailable — answered, not hung).
+        (void)::shutdown(conn->fd.get(), SHUT_RDWR);
+        return;
+      }
+      conn->shed_frames.append(frame);
     }
+    if (!lock.try_lock()) return;
+    frame.clear();
   } else {
     lock.lock();
   }
-  if (!WriteFullyDeadline(conn->fd.get(), frame.data(), frame.size(),
-                          timeout_ms)
-           .ok()) {
-    // Peer gone or stalled past its deadline. Shut the socket down (the
-    // fd itself stays owned by the Conn) so the epoll thread sees the
-    // hangup and reaps the connection; any thread still blocked in a
-    // write on it fails immediately too.
-    (void)::shutdown(conn->fd.get(), SHUT_RDWR);
+  SendLocked(conn.get(), std::move(lock), std::move(frame), timeout_ms);
+}
+
+void PprServer::SendLocked(Conn* conn, std::unique_lock<std::mutex> lock,
+                           std::string frame, int timeout_ms) {
+  for (;;) {
+    if (!frame.empty() &&
+        !WriteFullyDeadline(conn->fd.get(), frame.data(), frame.size(),
+                            timeout_ms)
+             .ok()) {
+      // Peer gone or stalled past its deadline. Shut the socket down (the
+      // fd itself stays owned by the Conn) so the epoll thread sees the
+      // hangup and reaps the connection; any thread still blocked in a
+      // write on it fails immediately too.
+      (void)::shutdown(conn->fd.get(), SHUT_RDWR);
+      return;
+    }
+    std::lock_guard<std::mutex> shed(conn->shed_mu);
+    frame.clear();
+    frame.swap(conn->shed_frames);
+    if (frame.empty()) {
+      // Released under shed_mu: a frame queued after this check finds
+      // the write mutex free, or held by a writer yet to drain the queue.
+      lock.unlock();
+      return;
+    }
   }
 }
 

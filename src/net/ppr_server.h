@@ -19,7 +19,10 @@
 //     trustworthy structure left;
 //   * a frame whose PAYLOAD fails to decode (valid framing, garbage
 //     content) is answered kRejected and the connection survives;
-//   * both are counted in protocol_errors() for tests and monitoring.
+//   * both are counted in protocol_errors() for tests and monitoring;
+//   * a frame that finds the handler queue full is answered
+//     kShedQueueFull by the I/O thread, queued behind a handler that is
+//     mid-write rather than waited for, and the connection survives.
 //
 // Lifecycle: construct over a STARTED PprService, Start(), serve,
 // Stop() (also run by the destructor). Stop the server BEFORE stopping
@@ -56,11 +59,11 @@ struct PprServerOptions {
   /// stops reading gets its connection shut down when this expires, so a
   /// stalled client pins a handler for a bounded time, never forever.
   int write_timeout_ms = 10'000;
-  /// Ceiling on the (rare) response the epoll I/O thread writes itself —
-  /// the shed answer for a full handler queue. Deliberately tight: the
+  /// Ceiling on the (rare) responses the epoll I/O thread writes itself —
+  /// the shed answers for a full handler queue. Deliberately tight: the
   /// I/O thread serves every connection, so it must never wait long on
-  /// one of them. A healthy peer's send buffer takes these ~50 bytes
-  /// instantly; one that cannot is stalled and gets disconnected.
+  /// one of them. A healthy peer's send buffer takes these ~50-byte
+  /// frames instantly; one that cannot is stalled and gets disconnected.
   int io_write_timeout_ms = 50;
 };
 
@@ -105,6 +108,10 @@ class PprServer {
     ScopedFd fd;
     std::string inbuf;
     std::mutex write_mu;
+    /// Shed answers the I/O thread queued for this connection, whole
+    /// frames back to back (see SendLocked).
+    std::mutex shed_mu;
+    std::string shed_frames;  ///< guarded by shed_mu
   };
 
   struct Work {
@@ -131,13 +138,20 @@ class PprServer {
   /// Writes one response frame within `timeout_ms`; on failure (peer
   /// gone or stalled past the deadline) shuts the connection down so the
   /// epoll thread reaps it. With `try_only` (the I/O thread's mode) a
-  /// busy write mutex is not waited for: a connection that floods past
-  /// the handler queue WHILE a handler is mid-write to it is shut down
-  /// instead — honest backpressure, and the I/O thread never parks
-  /// behind one peer.
+  /// busy write mutex is not waited for: the frame joins the
+  /// connection's shed queue, which the thread holding the mutex sends,
+  /// so the I/O thread never parks behind one peer. A queue that would
+  /// pass max_frame_payload bytes belongs to a peer flooding without
+  /// reading; that connection is shut down instead.
   void WriteResponse(const std::shared_ptr<Conn>& conn, Verb verb,
                      uint64_t request_id, const std::string& payload,
                      int timeout_ms, bool try_only = false);
+  /// With `lock` holding conn->write_mu: writes `frame` (may be empty),
+  /// then the shed queue until it is empty, and releases the mutex under
+  /// shed_mu, so a frame queued while this thread held the mutex is
+  /// never stranded.
+  void SendLocked(Conn* conn, std::unique_lock<std::mutex> lock,
+                  std::string frame, int timeout_ms);
   /// Responds with a bare status in the verb's response shape (queries
   /// get a QueryResponse, maintenance verbs a MaintResponse, ...).
   void WriteStatusResponse(const std::shared_ptr<Conn>& conn, Verb verb,

@@ -21,6 +21,17 @@ Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
+/// Turns Nagle off. Both ends write each frame with one send, and with
+/// Nagle on a small frame sent while an earlier one is un-ACKed is held
+/// until the peer's next segment or its delayed-ACK timer (~40 ms).
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return Errno("setsockopt TCP_NODELAY");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void ScopedFd::Close() {
@@ -81,15 +92,25 @@ Status TcpConnect(const std::string& host, int port, ScopedFd* out) {
       last = Errno("connect to " + host + ":" + std::to_string(port));
       continue;
     }
-    const int one = 1;
-    (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one,
-                       sizeof(one));
+    last = SetNoDelay(fd.get());
+    if (!last.ok()) continue;
     ::freeaddrinfo(results);
     *out = std::move(fd);
     return Status::OK();
   }
   ::freeaddrinfo(results);
   return last;
+}
+
+Status TcpAccept(int listen_fd, ScopedFd* out) {
+  for (;;) {
+    ScopedFd fd(::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK));
+    if (!fd.valid()) return Errno("accept");
+    if (SetNoDelay(fd.get()).ok()) {
+      *out = std::move(fd);
+      return Status::OK();
+    }
+  }
 }
 
 Status SetNonBlocking(int fd) {

@@ -1,7 +1,9 @@
 // Thin POSIX TCP helpers for the shard transport: an RAII fd, listen /
-// connect, and frame-sized full reads/writes. Deliberately minimal — the
-// interesting machinery (epoll loop, multiplexing) lives in ppr_server /
-// remote_client; this file is the only one that talks errno.
+// connect / accept, and frame-sized full reads/writes. Deliberately
+// minimal — the interesting machinery (epoll loop, multiplexing) lives in
+// ppr_server / remote_client; this file is the only one that talks errno,
+// and the only one that sets socket options: every stream socket of the
+// fleet is made by TcpConnect or TcpAccept, both with Nagle off.
 
 #ifndef DPPR_NET_SOCKET_H_
 #define DPPR_NET_SOCKET_H_
@@ -51,6 +53,12 @@ Status TcpListen(int port, ScopedFd* out, int* bound_port);
 
 /// Connects to host:port (numeric address or name) with TCP_NODELAY set.
 Status TcpConnect(const std::string& host, int port, ScopedFd* out);
+
+/// Accepts one connection on `listen_fd` and returns it non-blocking with
+/// TCP_NODELAY set. IOError when accept fails — on a non-blocking
+/// listener, EAGAIN means nothing is pending. A connection whose setup
+/// fails is closed and the next pending one is taken instead.
+Status TcpAccept(int listen_fd, ScopedFd* out);
 
 Status SetNonBlocking(int fd);
 

@@ -13,7 +13,7 @@
 //    scratch on the final graph).
 //  * HybridTest — the BiPPR combination: always inside the deterministic
 //    ±eps interval, and on average strictly closer to the truth than the
-//    push-only point.
+//    push-only point; reads during maintenance included.
 //  * EstimatorFleetTest — the serving path: a sharded fleet with a shard
 //    joined OVER THE WIRE answers kQueryPair / kHybridQuery / kReverseTopK
 //    in lockstep equivalence with an unsharded reference stack.
@@ -21,10 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/power_iteration.h"
@@ -300,6 +302,71 @@ TEST(HybridTest, StaysInsideTheIntervalAndBeatsPushAlone) {
   EXPECT_LT(hybrid_err, push_err * 0.9)
       << "walk correction is not improving on the push point "
       << "(push " << push_err << ", hybrid " << hybrid_err << ")";
+}
+
+// Reads run while another thread applies the feed. Every answer carries
+// the epoch of the state it was read from, a target's epochs never go
+// back, the hybrid point stays inside the interval it reports, and once
+// the feed is done the index answers exactly like one that never had a
+// reader. Under ThreadSanitizer this checks the index's lock discipline.
+TEST(HybridTest, ReadsDuringMaintenanceStayInsideTheirInterval) {
+  EstimatorWorkload workload(96, 700, 83, 4, 12);
+  const DynamicGraph graph =
+      DynamicGraph::FromEdges(workload.initial, workload.num_vertices);
+  EstimatorOptions options;
+  options.enabled = true;
+  options.eps = 1e-3;
+  EstimatorIndex index(graph, options);
+  EstimatorIndex reference(graph, options);
+  for (VertexId t : workload.hubs) {
+    ASSERT_TRUE(index.AddTarget(t));
+    ASSERT_TRUE(reference.AddTarget(t));
+  }
+
+  std::atomic<bool> done{false};
+  int64_t reads = 0;
+  std::thread reader([&] {
+    std::vector<uint64_t> last_epoch(workload.hubs.size(), 0);
+    VertexId s = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      for (size_t i = 0; i < workload.hubs.size(); ++i) {
+        const VertexId t = workload.hubs[i];
+        const PairResult pair = index.QueryPair(s, t);
+        const PairResult hybrid = index.HybridPair(s, t);
+        const ReverseTopKResult top = index.ReverseTopK(t, 3);
+        EXPECT_TRUE(pair.known && hybrid.known && top.known);
+        EXPECT_GE(hybrid.estimate.value, hybrid.estimate.lower);
+        EXPECT_LE(hybrid.estimate.value, hybrid.estimate.upper);
+        for (const uint64_t epoch : {pair.epoch, hybrid.epoch, top.epoch}) {
+          EXPECT_GE(epoch, last_epoch[i]) << "target " << t;
+          last_epoch[i] = epoch;
+        }
+        ++reads;
+      }
+      s = (s + 1) % workload.num_vertices;
+    }
+  });
+  for (const UpdateBatch& batch : workload.batches) index.ApplyBatch(batch, 1);
+  done.store(true, std::memory_order_release);
+  reader.join();
+  for (const UpdateBatch& batch : workload.batches) {
+    reference.ApplyBatch(batch, 1);
+  }
+
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(index.epoch(), workload.batches.size());
+  EXPECT_EQ(index.GraphChecksum(), reference.GraphChecksum());
+  for (VertexId t : workload.hubs) {
+    for (VertexId s = 0; s < workload.num_vertices; ++s) {
+      const PairResult pair = index.QueryPair(s, t);
+      const PairResult hybrid = index.HybridPair(s, t);
+      EXPECT_EQ(pair.epoch, workload.batches.size());
+      EXPECT_EQ(hybrid.epoch, workload.batches.size());
+      EXPECT_EQ(pair.estimate.value, reference.QueryPair(s, t).estimate.value);
+      EXPECT_EQ(hybrid.estimate.value,
+                reference.HybridPair(s, t).estimate.value);
+    }
+  }
 }
 
 // ------------------------------------------------------- fleet lockstep

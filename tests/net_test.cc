@@ -21,6 +21,10 @@
 // Every server binds port 0 (kernel-assigned), so parallel ctest workers
 // never collide.
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -30,6 +34,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <future>
 #include <random>
 #include <string>
 #include <thread>
@@ -378,11 +383,12 @@ struct ShardProcess {
 
   ShardProcess(const std::vector<Edge>& edges, VertexId num_vertices,
                std::vector<VertexId> sources, const IndexOptions& iopt,
-               const ServiceOptions& sopt)
+               const ServiceOptions& sopt,
+               const net::PprServerOptions& server_options = {})
       : graph(DynamicGraph::FromEdges(edges, num_vertices)),
         index(&graph, std::move(sources), iopt),
         service(&index, sopt),
-        server(&service, net::PprServerOptions{}) {
+        server(&service, server_options) {
     index.Initialize();
     service.Start();
     const Status st = server.Start();
@@ -594,6 +600,88 @@ TEST(PprServerTest, MalformedPeersAreContainedAndCounted) {
               RequestStatus::kOk);
   }
   EXPECT_GT(shard.server.protocol_errors(), 0);
+}
+
+TEST(PprServerTest, BothEndsOfAConnectionTurnNagleOff) {
+  net::ScopedFd listener;
+  int port = 0;
+  ASSERT_TRUE(net::TcpListen(0, &listener, &port).ok());
+  net::ScopedFd dialed;
+  ASSERT_TRUE(net::TcpConnect("127.0.0.1", port, &dialed).ok());
+  net::ScopedFd accepted;
+  ASSERT_TRUE(net::TcpAccept(listener.get(), &accepted).ok());
+  for (const int fd : {dialed.get(), accepted.get()}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1) << "fd " << fd;
+  }
+  EXPECT_NE(::fcntl(accepted.get(), F_GETFL) & O_NONBLOCK, 0);
+}
+
+TEST(PprServerTest, PipelinedPairsDoNotWaitForDelayedAcks) {
+  auto edges = GenerateErdosRenyi(128, 1024, 17);
+  IndexOptions iopt;
+  iopt.ppr.eps = 1e-5;
+  ServiceOptions sopt;
+  sopt.num_workers = 2;
+  ShardProcess shard(edges, 128, {1, 2}, iopt, sopt);
+
+  net::RemoteShardClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", shard.server.port()).ok());
+  for (VertexId v = 0; v < 50; ++v) {
+    ASSERT_EQ(client.QueryVertexAsync(1, v, 0).get().status,
+              RequestStatus::kOk);
+  }
+  // Two requests in flight on one connection: with Nagle on at the
+  // server, the second answer waits for the client's delayed ACK of the
+  // first, ~40 ms a pair.
+  const auto start = std::chrono::steady_clock::now();
+  for (int pair = 0; pair < 100; ++pair) {
+    auto point = client.QueryVertexAsync(1, static_cast<VertexId>(pair), 0);
+    auto topk = client.TopKAsync(2, 5, 0);
+    ASSERT_EQ(point.get().status, RequestStatus::kOk);
+    ASSERT_EQ(topk.get().status, RequestStatus::kOk);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 1.0) << "100 pipelined pairs took " << seconds << " s";
+}
+
+TEST(PprServerTest, FloodPastTheHandlerQueueIsShedWithoutDisconnecting) {
+  auto edges = GenerateErdosRenyi(128, 1024, 23);
+  IndexOptions iopt;
+  iopt.ppr.eps = 1e-5;
+  ServiceOptions sopt;
+  sopt.num_workers = 1;
+  net::PprServerOptions server_options;
+  server_options.num_handlers = 1;
+  server_options.handler_queue_capacity = 4;
+  ShardProcess shard(edges, 128, {1}, iopt, sopt, server_options);
+
+  // The I/O thread sheds most of these while the one handler is writing
+  // to the same connection; a busy write mutex must not cost the client
+  // its connection (a router would drop the replica for good).
+  net::RemoteShardClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", shard.server.port()).ok());
+  constexpr int kCalls = 20'000;
+  std::vector<std::future<QueryResponse>> calls;
+  calls.reserve(kCalls);
+  for (int i = 0; i < kCalls; ++i) calls.push_back(client.TopKAsync(1, 5, 0));
+  int ok = 0;
+  int shed = 0;
+  int unavailable = 0;
+  for (auto& call : calls) {
+    const RequestStatus status = call.get().status;
+    ok += status == RequestStatus::kOk;
+    shed += status == RequestStatus::kShedQueueFull;
+    unavailable += status == RequestStatus::kUnavailable;
+  }
+  EXPECT_EQ(unavailable, 0) << ok << " kOk, " << shed << " kShedQueueFull";
+  EXPECT_EQ(ok + shed, kCalls);
+  EXPECT_GT(shed, 0) << "the flood must pass the handler queue";
+  EXPECT_TRUE(client.connected());
 }
 
 // --------------------------------------------- router with remote shard
