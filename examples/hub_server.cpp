@@ -480,7 +480,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     server.Stop();  // before the service, so in-flight handlers resolve
-    const dppr::MetricsReport report = backend.Metrics();
+    const dppr::MetricsReport report = backend.service()->Metrics();
     backend.Stop();
     std::printf("%s\n", report.ToString().c_str());
     std::printf("shard served %lld queries, %lld protocol errors\n",

@@ -18,6 +18,9 @@ PointEstimate QueryVertex(const PprState& state, double eps, VertexId v) {
 GuaranteedTopK TopKWithGuarantee(const std::vector<double>& p, double eps,
                                  int k) {
   DPPR_CHECK(k >= 1);
+  // A k past the vector ranks all of it; clamped first so `k + 1` cannot
+  // overflow.
+  k = static_cast<int>(std::min(static_cast<size_t>(k), p.size()));
   GuaranteedTopK result;
   // One extra entry: the boundary estimate right below the cut.
   auto extended = TopK(p, k + 1);

@@ -602,6 +602,14 @@ uint64_t PprIndex::Epoch(size_t i) const {
   return table->slots[i]->snapshot.Epoch();
 }
 
+uint64_t PprIndex::MaxEpoch() const {
+  uint64_t max_epoch = 0;
+  for (const auto& slot : CurrentTable()->slots) {
+    max_epoch = std::max(max_epoch, slot->snapshot.Epoch());
+  }
+  return max_epoch;
+}
+
 std::shared_ptr<const IndexSnapshot> PprIndex::Snapshot(size_t i) const {
   auto table = CurrentTable();
   DPPR_DCHECK(i < table->slots.size());

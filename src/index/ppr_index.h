@@ -350,6 +350,9 @@ class PprIndex {
   /// Latest published epoch of source `i` (0 before Initialize; +1 per
   /// publish; preserved across evictions).
   uint64_t Epoch(size_t i) const;
+  /// Highest epoch published across the current sources (0 when there are
+  /// none) — the shard's feed frontier, read from one table.
+  uint64_t MaxEpoch() const;
 
   /// The latest published snapshot of source `i` (shared, immutable).
   std::shared_ptr<const IndexSnapshot> Snapshot(size_t i) const;

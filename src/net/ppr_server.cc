@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <thread>
@@ -17,41 +16,6 @@
 
 namespace dppr {
 namespace net {
-
-namespace {
-
-/// Response shape of a verb, for bare-status replies.
-enum class ResponseShape { kQuery, kMulti, kMaint, kStats, kSourceList };
-
-ResponseShape ShapeOf(Verb verb) {
-  switch (verb) {
-    case Verb::kQueryVertex:
-    case Verb::kTopK:
-    case Verb::kQueryPair:
-    case Verb::kReverseTopK:
-    case Verb::kHybridQuery:
-      return ResponseShape::kQuery;
-    case Verb::kMultiSource:
-      return ResponseShape::kMulti;
-    case Verb::kApplyUpdates:
-    case Verb::kAddSource:
-    case Verb::kRemoveSource:
-    case Verb::kQuiesce:
-    case Verb::kExtractSource:
-    case Verb::kInjectSource:
-    case Verb::kAddTarget:
-    case Verb::kRemoveTarget:
-      return ResponseShape::kMaint;
-    case Verb::kStats:
-      return ResponseShape::kStats;
-    case Verb::kListSources:
-    case Verb::kListTargets:
-      return ResponseShape::kSourceList;
-  }
-  return ResponseShape::kMaint;
-}
-
-}  // namespace
 
 PprServer::PprServer(PprService* service, const PprServerOptions& options)
     : service_(service),
@@ -263,66 +227,31 @@ void PprServer::Execute(const Work& work) {
   };
 
   std::string out;
+  if (FindVerbRule(verb) != nullptr) {
+    Request request;
+    if (!DecodeRequest(verb, work.payload, &request).ok()) return reject();
+    if (IsRead(verb)) {
+      if (!residual_deadline(&request.deadline_ms)) return;
+      EncodeQueryResponse(service_->Read(request).get(), &out);
+    } else {
+      EncodeMaintResponse(service_->Feed(std::move(request)).get(), &out);
+    }
+    return WriteResponse(work.conn, verb, id, out, options_.write_timeout_ms);
+  }
   switch (verb) {
-    case Verb::kQueryVertex: {
-      QueryVertexRequest req;
-      if (!DecodeQueryVertexRequest(work.payload, &req).ok()) return reject();
-      if (!residual_deadline(&req.deadline_ms)) return;
-      const QueryResponse response =
-          service_->QueryVertexAsync(req.source, req.vertex, req.deadline_ms)
-              .get();
-      EncodeQueryResponse(response, &out);
-      break;
-    }
-    case Verb::kTopK: {
-      TopKRequest req;
-      if (!DecodeTopKRequest(work.payload, &req).ok()) return reject();
-      if (!residual_deadline(&req.deadline_ms)) return;
-      const QueryResponse response =
-          service_->TopKAsync(req.source, req.k, req.deadline_ms).get();
-      EncodeQueryResponse(response, &out);
-      break;
-    }
     case Verb::kMultiSource: {
       MultiSourceRequest req;
       if (!DecodeMultiSourceRequest(work.payload, &req).ok()) {
         return reject();
       }
       if (!residual_deadline(&req.deadline_ms)) return;
-      std::vector<std::future<QueryResponse>> futures;
-      futures.reserve(req.sources.size());
-      for (VertexId s : req.sources) {
-        futures.push_back(
-            service_->QueryVertexAsync(s, req.vertex, req.deadline_ms));
-      }
-      std::vector<QueryResponse> responses;
-      responses.reserve(futures.size());
-      for (auto& future : futures) responses.push_back(future.get());
-      EncodeMultiSourceResponse(RequestStatus::kOk, responses, &out);
-      break;
-    }
-    case Verb::kApplyUpdates: {
-      UpdateBatch batch;
-      if (!DecodeUpdateBatch(work.payload, &batch).ok()) return reject();
-      EncodeMaintResponse(
-          service_->ApplyUpdatesAsync(std::move(batch)).get(), &out);
-      break;
-    }
-    case Verb::kAddSource: {
-      VertexId s = kInvalidVertex;
-      if (!DecodeSourceRequest(work.payload, &s).ok()) return reject();
-      EncodeMaintResponse(service_->AddSourceAsync(s).get(), &out);
-      break;
-    }
-    case Verb::kRemoveSource: {
-      VertexId s = kInvalidVertex;
-      if (!DecodeSourceRequest(work.payload, &s).ok()) return reject();
-      EncodeMaintResponse(service_->RemoveSourceAsync(s).get(), &out);
-      break;
-    }
-    case Verb::kQuiesce: {
-      if (!work.payload.empty()) return reject();
-      EncodeMaintResponse(service_->QuiesceAsync().get(), &out);
+      EncodeMultiSourceResponse(
+          RequestStatus::kOk,
+          service_
+              ->MultiSourceAsync(std::move(req.sources), req.vertex,
+                                 req.deadline_ms)
+              .get(),
+          &out);
       break;
     }
     case Verb::kExtractSource: {
@@ -372,17 +301,15 @@ void PprServer::Execute(const Work& work) {
       stats.num_vertices = static_cast<uint32_t>(
           service_->index()->graph()->NumVertices());
       stats.num_sources = service_->index()->NumSources();
-      for (size_t i = 0; i < stats.num_sources; ++i) {
-        stats.max_epoch =
-            std::max(stats.max_epoch, service_->index()->Epoch(i));
-      }
+      stats.max_epoch = service_->index()->MaxEpoch();
       stats.graph_checksum = service_->index()->graph()->Checksum();
       stats.running = service_->running() ? 1 : 0;
-      stats.report = service_->Metrics();
+      Histogram query_ms;
+      Histogram batch_ms;
+      service_->SnapshotMetrics(&stats.report,
+                                include_samples ? &query_ms : nullptr,
+                                include_samples ? &batch_ms : nullptr);
       if (include_samples) {
-        Histogram query_ms;
-        Histogram batch_ms;
-        service_->MergeLatenciesInto(&query_ms, &batch_ms);
         stats.query_latency_samples = query_ms.Samples();
         stats.batch_latency_samples = batch_ms.Samples();
         // Samples are monitoring data: if a long run outgrows the frame
@@ -402,50 +329,13 @@ void PprServer::Execute(const Work& work) {
       EncodeSourceList(service_->index()->Sources(), &out);
       break;
     }
-    case Verb::kQueryPair:
-    case Verb::kHybridQuery: {
-      PairRequest req;
-      if (!DecodePairRequest(work.payload, &req).ok()) return reject();
-      if (!residual_deadline(&req.deadline_ms)) return;
-      const QueryResponse response =
-          verb == Verb::kQueryPair
-              ? service_
-                    ->QueryPairAsync(req.source, req.target, req.deadline_ms)
-                    .get()
-              : service_
-                    ->HybridPairAsync(req.source, req.target, req.deadline_ms)
-                    .get();
-      EncodeQueryResponse(response, &out);
-      break;
-    }
-    case Verb::kReverseTopK: {
-      // Reuses the top-k codec; `source` carries the TARGET id.
-      TopKRequest req;
-      if (!DecodeTopKRequest(work.payload, &req).ok()) return reject();
-      if (!residual_deadline(&req.deadline_ms)) return;
-      const QueryResponse response =
-          service_->ReverseTopKAsync(req.source, req.k, req.deadline_ms)
-              .get();
-      EncodeQueryResponse(response, &out);
-      break;
-    }
-    case Verb::kAddTarget: {
-      VertexId t = kInvalidVertex;
-      if (!DecodeSourceRequest(work.payload, &t).ok()) return reject();
-      EncodeMaintResponse(service_->AddTargetAsync(t).get(), &out);
-      break;
-    }
-    case Verb::kRemoveTarget: {
-      VertexId t = kInvalidVertex;
-      if (!DecodeSourceRequest(work.payload, &t).ok()) return reject();
-      EncodeMaintResponse(service_->RemoveTargetAsync(t).get(), &out);
-      break;
-    }
     case Verb::kListTargets: {
       if (!work.payload.empty()) return reject();
       EncodeSourceList(service_->Targets(), &out);
       break;
     }
+    default:
+      break;  // the enveloped verbs are answered above
   }
   WriteResponse(work.conn, verb, id, out, options_.write_timeout_ms);
 }
@@ -519,28 +409,20 @@ void PprServer::WriteStatusResponse(const std::shared_ptr<Conn>& conn,
                                     RequestStatus status, int timeout_ms,
                                     bool try_only) {
   std::string out;
-  switch (ShapeOf(verb)) {
-    case ResponseShape::kQuery: {
-      QueryResponse response;
-      response.status = status;
-      EncodeQueryResponse(response, &out);
-      break;
-    }
-    case ResponseShape::kMulti:
-      EncodeMultiSourceResponse(status, {}, &out);
-      break;
-    case ResponseShape::kMaint:
-    case ResponseShape::kStats:
-    case ResponseShape::kSourceList: {
-      // Maint shape carries the refusal for every non-query verb. A
-      // kStats/kListSources client sees its decoder fail on the short
-      // body and maps that to "shard unavailable", which is the honest
-      // reading of a shard too overloaded to introspect itself.
-      MaintResponse response;
-      response.status = status;
-      EncodeMaintResponse(response, &out);
-      break;
-    }
+  if (IsRead(verb)) {
+    QueryResponse response;
+    response.status = status;
+    EncodeQueryResponse(response, &out);
+  } else if (verb == Verb::kMultiSource) {
+    EncodeMultiSourceResponse(status, {}, &out);
+  } else {
+    // Maint shape carries the refusal for every other verb. A
+    // kStats/kListSources client sees its decoder fail on the short body
+    // and maps that to "shard unavailable", which is the honest reading
+    // of a shard too overloaded to introspect itself.
+    MaintResponse response;
+    response.status = status;
+    EncodeMaintResponse(response, &out);
   }
   WriteResponse(conn, verb, request_id, out, timeout_ms, try_only);
 }

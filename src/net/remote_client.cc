@@ -161,44 +161,18 @@ void RemoteShardClient::ReceiverLoop() {
   FailAllPending();
 }
 
-// --- Typed call wrappers -------------------------------------------------
+// --- Calls ---------------------------------------------------------------
 
-std::future<QueryResponse> RemoteShardClient::QueryVertexAsync(
-    VertexId s, VertexId v, int64_t deadline_ms) {
-  QueryVertexRequest req{s, v, deadline_ms};
+std::future<QueryResponse> RemoteShardClient::Read(const Request& request) {
   std::string payload;
-  EncodeQueryVertexRequest(req, &payload);
-  auto promise = std::make_shared<std::promise<QueryResponse>>();
-  std::future<QueryResponse> future = promise->get_future();
-  Call(Verb::kQueryVertex, std::move(payload),
-       [promise](RequestStatus transport, std::string body) {
-         QueryResponse response;
-         if (transport != RequestStatus::kOk ||
-             !DecodeQueryResponsePayload(body, &response).ok()) {
-           response = QueryStatus(RequestStatus::kUnavailable);
-         }
-         promise->set_value(std::move(response));
-       });
-  return future;
+  EncodeRequest(request, &payload);
+  return QueryCall(request.verb, std::move(payload));
 }
 
-std::future<QueryResponse> RemoteShardClient::TopKAsync(
-    VertexId s, int k, int64_t deadline_ms) {
-  TopKRequest req{s, k, deadline_ms};
+std::future<MaintResponse> RemoteShardClient::Feed(const Request& request) {
   std::string payload;
-  EncodeTopKRequest(req, &payload);
-  auto promise = std::make_shared<std::promise<QueryResponse>>();
-  std::future<QueryResponse> future = promise->get_future();
-  Call(Verb::kTopK, std::move(payload),
-       [promise](RequestStatus transport, std::string body) {
-         QueryResponse response;
-         if (transport != RequestStatus::kOk ||
-             !DecodeQueryResponsePayload(body, &response).ok()) {
-           response = QueryStatus(RequestStatus::kUnavailable);
-         }
-         promise->set_value(std::move(response));
-       });
-  return future;
+  EncodeRequest(request, &payload);
+  return MaintCall(request.verb, std::move(payload));
 }
 
 std::future<std::vector<QueryResponse>>
@@ -253,43 +227,6 @@ std::future<QueryResponse> RemoteShardClient::QueryCall(
   return future;
 }
 
-std::future<QueryResponse> RemoteShardClient::QueryPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  PairRequest req{s, t, deadline_ms};
-  std::string payload;
-  EncodePairRequest(req, &payload);
-  return QueryCall(Verb::kQueryPair, std::move(payload));
-}
-
-std::future<QueryResponse> RemoteShardClient::HybridPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  PairRequest req{s, t, deadline_ms};
-  std::string payload;
-  EncodePairRequest(req, &payload);
-  return QueryCall(Verb::kHybridQuery, std::move(payload));
-}
-
-std::future<QueryResponse> RemoteShardClient::ReverseTopKAsync(
-    VertexId t, int k, int64_t deadline_ms) {
-  // The top-k codec with `source` carrying the TARGET id.
-  TopKRequest req{t, k, deadline_ms};
-  std::string payload;
-  EncodeTopKRequest(req, &payload);
-  return QueryCall(Verb::kReverseTopK, std::move(payload));
-}
-
-std::future<MaintResponse> RemoteShardClient::AddTargetAsync(VertexId t) {
-  std::string payload;
-  EncodeSourceRequest(t, &payload);
-  return MaintCall(Verb::kAddTarget, std::move(payload));
-}
-
-std::future<MaintResponse> RemoteShardClient::RemoveTargetAsync(VertexId t) {
-  std::string payload;
-  EncodeSourceRequest(t, &payload);
-  return MaintCall(Verb::kRemoveTarget, std::move(payload));
-}
-
 std::future<MaintResponse> RemoteShardClient::MaintCall(
     Verb verb, std::string payload) {
   auto promise = std::make_shared<std::promise<MaintResponse>>();
@@ -304,30 +241,6 @@ std::future<MaintResponse> RemoteShardClient::MaintCall(
          promise->set_value(response);
        });
   return future;
-}
-
-std::future<MaintResponse> RemoteShardClient::ApplyUpdatesAsync(
-    const UpdateBatch& batch) {
-  std::string payload;
-  EncodeUpdateBatch(batch, &payload);
-  return MaintCall(Verb::kApplyUpdates, std::move(payload));
-}
-
-std::future<MaintResponse> RemoteShardClient::AddSourceAsync(VertexId s) {
-  std::string payload;
-  EncodeSourceRequest(s, &payload);
-  return MaintCall(Verb::kAddSource, std::move(payload));
-}
-
-std::future<MaintResponse> RemoteShardClient::RemoveSourceAsync(
-    VertexId s) {
-  std::string payload;
-  EncodeSourceRequest(s, &payload);
-  return MaintCall(Verb::kRemoveSource, std::move(payload));
-}
-
-std::future<MaintResponse> RemoteShardClient::QuiesceAsync() {
-  return MaintCall(Verb::kQuiesce, std::string());
 }
 
 MaintResponse RemoteShardClient::ExtractBlob(VertexId s,
@@ -353,18 +266,7 @@ MaintResponse RemoteShardClient::ExtractBlob(VertexId s,
 }
 
 MaintResponse RemoteShardClient::InjectBlob(const std::string& blob) {
-  auto promise = std::make_shared<std::promise<MaintResponse>>();
-  auto future = promise->get_future();
-  Call(Verb::kInjectSource, blob,
-       [promise](RequestStatus transport, std::string body) {
-         MaintResponse response;
-         if (transport != RequestStatus::kOk ||
-             !DecodeMaintResponse(body, &response).ok()) {
-           response = MaintStatus(RequestStatus::kUnavailable);
-         }
-         promise->set_value(response);
-       });
-  return future.get();
+  return MaintCall(Verb::kInjectSource, blob).get();
 }
 
 Status RemoteShardClient::Stats(bool include_samples, ShardStats* out) {
@@ -384,23 +286,17 @@ Status RemoteShardClient::Stats(bool include_samples, ShardStats* out) {
 }
 
 Status RemoteShardClient::ListSources(std::vector<VertexId>* out) {
-  auto promise = std::make_shared<std::promise<Status>>();
-  auto future = promise->get_future();
-  Call(Verb::kListSources, std::string(),
-       [promise, out](RequestStatus transport, std::string body) {
-         if (transport != RequestStatus::kOk) {
-           promise->set_value(Status::IOError("shard unavailable"));
-           return;
-         }
-         promise->set_value(DecodeSourceList(body, out));
-       });
-  return future.get();
+  return ListCall(Verb::kListSources, out);
 }
 
 Status RemoteShardClient::ListTargets(std::vector<VertexId>* out) {
+  return ListCall(Verb::kListTargets, out);
+}
+
+Status RemoteShardClient::ListCall(Verb verb, std::vector<VertexId>* out) {
   auto promise = std::make_shared<std::promise<Status>>();
   auto future = promise->get_future();
-  Call(Verb::kListTargets, std::string(),
+  Call(verb, std::string(),
        [promise, out](RequestStatus transport, std::string body) {
          if (transport != RequestStatus::kOk) {
            promise->set_value(Status::IOError("shard unavailable"));

@@ -27,11 +27,13 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/socket.h"
 #include "net/wire.h"
 #include "server/ppr_service.h"
+#include "server/request.h"
 
 namespace dppr {
 namespace net {
@@ -70,29 +72,42 @@ class RemoteShardClient {
 
   // --- The PprService surface, one RPC each -----------------------------
 
-  std::future<QueryResponse> QueryVertexAsync(VertexId s, VertexId v,
-                                              int64_t deadline_ms);
-  std::future<QueryResponse> TopKAsync(VertexId s, int k,
-                                       int64_t deadline_ms);
+  /// One enveloped verb (server/request.h): a read or a feed/admin op.
+  std::future<QueryResponse> Read(const Request& request);
+  std::future<MaintResponse> Feed(const Request& request);
   /// One round trip for the whole source list; the response vector is in
   /// request order and always sized like `sources`.
   std::future<std::vector<QueryResponse>> MultiSourceAsync(
       std::vector<VertexId> sources, VertexId v, int64_t deadline_ms);
-  std::future<MaintResponse> ApplyUpdatesAsync(const UpdateBatch& batch);
-  std::future<MaintResponse> AddSourceAsync(VertexId s);
-  std::future<MaintResponse> RemoveSourceAsync(VertexId s);
-  std::future<MaintResponse> QuiesceAsync();
 
-  // --- Estimator verbs (frame v4) ---------------------------------------
-
-  std::future<QueryResponse> QueryPairAsync(VertexId s, VertexId t,
-                                            int64_t deadline_ms);
-  std::future<QueryResponse> HybridPairAsync(VertexId s, VertexId t,
-                                             int64_t deadline_ms);
+  // Typed builders over Read/Feed.
+  std::future<QueryResponse> QueryVertexAsync(VertexId s, VertexId v,
+                                              int64_t deadline_ms) {
+    return Read({.verb = Verb::kQueryVertex, .source = s, .vertex = v,
+                 .deadline_ms = deadline_ms});
+  }
+  std::future<QueryResponse> TopKAsync(VertexId s, int k,
+                                       int64_t deadline_ms) {
+    return Read({.verb = Verb::kTopK, .source = s, .k = k,
+                 .deadline_ms = deadline_ms});
+  }
   std::future<QueryResponse> ReverseTopKAsync(VertexId t, int k,
-                                              int64_t deadline_ms);
-  std::future<MaintResponse> AddTargetAsync(VertexId t);
-  std::future<MaintResponse> RemoveTargetAsync(VertexId t);
+                                              int64_t deadline_ms) {
+    return Read({.verb = Verb::kReverseTopK, .target = t, .k = k,
+                 .deadline_ms = deadline_ms});
+  }
+  std::future<MaintResponse> ApplyUpdatesAsync(UpdateBatch batch) {
+    return Feed({.verb = Verb::kApplyUpdates, .batch = std::move(batch)});
+  }
+  std::future<MaintResponse> AddSourceAsync(VertexId s) {
+    return Feed({.verb = Verb::kAddSource, .source = s});
+  }
+  std::future<MaintResponse> RemoveSourceAsync(VertexId s) {
+    return Feed({.verb = Verb::kRemoveSource, .source = s});
+  }
+  std::future<MaintResponse> QuiesceAsync() {
+    return Feed({.verb = Verb::kQuiesce});
+  }
 
   // --- Migration (blocking; the router already serializes these) --------
 
@@ -124,6 +139,8 @@ class RemoteShardClient {
   std::future<MaintResponse> MaintCall(Verb verb, std::string payload);
   /// Call() for every QueryResponse-shaped verb.
   std::future<QueryResponse> QueryCall(Verb verb, std::string payload);
+  /// Blocking Call() for the two source-list-shaped verbs.
+  Status ListCall(Verb verb, std::vector<VertexId>* out);
   void ReceiverLoop();
   /// Fails every pending completion with kUnavailable. Runs once per
   /// connection breakdown.

@@ -247,6 +247,83 @@ Status DecodeStatsRequest(const std::string& payload,
   return Status::OK();
 }
 
+void EncodeRequest(const Request& request, std::string* out) {
+  switch (request.verb) {
+    case Verb::kQueryVertex:
+      return EncodeQueryVertexRequest(
+          {request.source, request.vertex, request.deadline_ms}, out);
+    case Verb::kTopK:
+      return EncodeTopKRequest(
+          {request.source, request.k, request.deadline_ms}, out);
+    case Verb::kReverseTopK:
+      // The top-k codec, with `source` carrying the TARGET id.
+      return EncodeTopKRequest(
+          {request.target, request.k, request.deadline_ms}, out);
+    case Verb::kQueryPair:
+    case Verb::kHybridQuery:
+      return EncodePairRequest(
+          {request.source, request.target, request.deadline_ms}, out);
+    case Verb::kApplyUpdates:
+      return EncodeUpdateBatch(request.batch, out);
+    case Verb::kAddSource:
+    case Verb::kRemoveSource:
+      return EncodeSourceRequest(request.source, out);
+    case Verb::kAddTarget:
+    case Verb::kRemoveTarget:
+      return EncodeSourceRequest(request.target, out);
+    case Verb::kQuiesce:
+      return;
+    default:
+      DPPR_CHECK_MSG(false, "verb outside the request envelope");
+  }
+}
+
+Status DecodeRequest(Verb verb, const std::string& payload, Request* out) {
+  *out = Request{};
+  out->verb = verb;
+  switch (verb) {
+    case Verb::kQueryVertex: {
+      QueryVertexRequest req;
+      DPPR_RETURN_NOT_OK(DecodeQueryVertexRequest(payload, &req));
+      out->source = req.source;
+      out->vertex = req.vertex;
+      out->deadline_ms = req.deadline_ms;
+      return Status::OK();
+    }
+    case Verb::kTopK:
+    case Verb::kReverseTopK: {
+      TopKRequest req;
+      DPPR_RETURN_NOT_OK(DecodeTopKRequest(payload, &req));
+      // kReverseTopK's `source` field carries the TARGET id.
+      (verb == Verb::kTopK ? out->source : out->target) = req.source;
+      out->k = req.k;
+      out->deadline_ms = req.deadline_ms;
+      return Status::OK();
+    }
+    case Verb::kQueryPair:
+    case Verb::kHybridQuery: {
+      PairRequest req;
+      DPPR_RETURN_NOT_OK(DecodePairRequest(payload, &req));
+      out->source = req.source;
+      out->target = req.target;
+      out->deadline_ms = req.deadline_ms;
+      return Status::OK();
+    }
+    case Verb::kApplyUpdates:
+      return DecodeUpdateBatch(payload, &out->batch);
+    case Verb::kAddSource:
+    case Verb::kRemoveSource:
+      return DecodeSourceRequest(payload, &out->source);
+    case Verb::kAddTarget:
+    case Verb::kRemoveTarget:
+      return DecodeSourceRequest(payload, &out->target);
+    case Verb::kQuiesce:
+      return payload.empty() ? Status::OK() : Malformed("quiesce request");
+    default:
+      return Malformed("verb outside the request envelope");
+  }
+}
+
 // --- Response payloads ---------------------------------------------------
 
 void EncodeQueryResponse(const QueryResponse& response, std::string* out) {

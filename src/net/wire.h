@@ -7,7 +7,7 @@
 //     u8  version       4 (v2: kStats responses carry the shard's
 //                          max published epoch; v3: kStats adds the graph
 //                          checksum; v4: estimator verbs 12-17)
-//     u8  verb          Verb below
+//     u8  verb          Verb (server/request.h)
 //     u16 flags         bit 0 = response
 //     u64 request_id    echoed verbatim in the response (multiplexing key)
 //     u32 payload_bytes MUST be <= the endpoint's max_frame_payload
@@ -31,6 +31,7 @@
 #include "graph/types.h"
 #include "server/metrics.h"
 #include "server/ppr_service.h"
+#include "server/request.h"
 #include "util/status.h"
 
 namespace dppr {
@@ -46,29 +47,8 @@ inline constexpr uint16_t kFlagResponse = 1;
 /// length prefix cannot OOM the process. Both endpoints enforce it.
 inline constexpr size_t kDefaultMaxFramePayload = size_t{64} << 20;
 
-/// RPC verbs. Requests and responses carry the same verb; the response
-/// flag tells them apart.
-enum class Verb : uint8_t {
-  kQueryVertex = 1,    ///< p[v] +- eps for one source
-  kTopK = 2,           ///< certified top-k for one source
-  kMultiSource = 3,    ///< p[v] for several sources, one round trip
-  kApplyUpdates = 4,   ///< edge-update batch (the replicated feed)
-  kAddSource = 5,
-  kRemoveSource = 6,
-  kQuiesce = 7,        ///< FIFO maintenance barrier
-  kExtractSource = 8,  ///< lift a source out; response carries the blob
-  kInjectSource = 9,   ///< install a migration blob
-  kStats = 10,         ///< health + metrics (+ optional latency samples)
-  kListSources = 11,   ///< the shard's current source set
-  // Estimator verbs (new in frame version 4). Reverse-family reads route
-  // by TARGET, not source.
-  kQueryPair = 12,     ///< pi_s(t) +- eps by reverse push
-  kReverseTopK = 13,   ///< sources with the highest PPR into one target
-  kHybridQuery = 14,   ///< pair query + unbiased walk correction
-  kAddTarget = 15,     ///< register a reverse-push target
-  kRemoveTarget = 16,
-  kListTargets = 17,   ///< the shard's current target set
-};
+/// The verbs live with the request envelope (server/request.h).
+using Verb = ::dppr::Verb;
 
 /// True iff `verb` is a value this protocol version defines.
 bool IsKnownVerb(uint8_t verb);
@@ -156,6 +136,13 @@ Status DecodeStatsRequest(const std::string& payload, bool* include_samples);
 
 // kQuiesce and kListSources requests carry an empty payload.
 // A kInjectSource request's payload IS the migration blob, verbatim.
+
+/// The payload of an enveloped verb's request (server/request.h), through
+/// that verb's codec above: the envelope adds no byte of its own.
+void EncodeRequest(const Request& request, std::string* out);
+/// Decodes `payload` as a `verb` request into *out (reset first). Fails
+/// on a malformed payload or a verb outside the envelope.
+Status DecodeRequest(Verb verb, const std::string& payload, Request* out);
 
 // --- Response payloads ---------------------------------------------------
 

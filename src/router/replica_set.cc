@@ -15,6 +15,15 @@ using responses::ReadyQuery;
 
 using responses::RetryShedBlocking;
 
+namespace {
+
+/// The failover trigger of every single-answer path.
+constexpr auto IsUnavailable = [](const auto& response) {
+  return response.status == RequestStatus::kUnavailable;
+};
+
+}  // namespace
+
 const char* ReadPolicyName(ReadPolicy policy) {
   switch (policy) {
     case ReadPolicy::kPrimaryOnly:
@@ -180,11 +189,11 @@ ReplicaSet::ReplicaPtr ReplicaSet::AcquireReadReplica(
   return primary_;
 }
 
-QueryResponse ReplicaSet::ObserveRead(
-    ReplicaPtr replica, VertexId s, QueryResponse response,
-    const std::function<QueryResponse(ShardBackend*)>& issue) {
-  const auto unavailable = [](const QueryResponse& r) {
-    return r.status == RequestStatus::kUnavailable;
+QueryResponse ReplicaSet::ObserveRead(ReplicaPtr replica,
+                                      const Request& request,
+                                      QueryResponse response) {
+  const auto issue = [&request](ShardBackend* backend) {
+    return backend->Read(request).get();
   };
   // A standby may refuse a read the primary would serve: kUnknownSource
   // when it joined after the source landed (anti-entropy still owes it
@@ -197,7 +206,7 @@ QueryResponse ReplicaSet::ObserveRead(
     ReplicaPtr primary = AcquirePrimary();
     if (primary != nullptr && primary != replica) {
       response = RetryThroughFailover(
-          &primary, issue(primary->backend.get()), issue, unavailable);
+          &primary, issue(primary->backend.get()), issue, IsUnavailable);
       replica = std::move(primary);
     }
   }
@@ -207,7 +216,7 @@ QueryResponse ReplicaSet::ObserveRead(
     uint64_t floor = 0;
     {
       std::lock_guard<std::mutex> lock(staleness_mu_);
-      const auto it = epoch_floor_.find(s);
+      const auto it = epoch_floor_.find(request.source);
       if (it != epoch_floor_.end()) floor = it->second;
     }
     if (options_.max_epoch_lag >= 0 &&
@@ -221,7 +230,7 @@ QueryResponse ReplicaSet::ObserveRead(
       if (primary != nullptr && primary != replica) {
         stale_retries_.fetch_add(1, std::memory_order_relaxed);
         QueryResponse retried = RetryThroughFailover(
-            &primary, issue(primary->backend.get()), issue, unavailable);
+            &primary, issue(primary->backend.get()), issue, IsUnavailable);
         if (retried.status == RequestStatus::kOk) {
           response = std::move(retried);
           replica = std::move(primary);
@@ -230,7 +239,7 @@ QueryResponse ReplicaSet::ObserveRead(
     }
     {
       std::lock_guard<std::mutex> lock(staleness_mu_);
-      uint64_t& floor_entry = epoch_floor_[s];
+      uint64_t& floor_entry = epoch_floor_[request.source];
       staleness_.Add(floor_entry > response.epoch
                          ? static_cast<double>(floor_entry - response.epoch)
                          : 0.0);
@@ -252,11 +261,11 @@ void ReplicaSet::ForgetSource(VertexId s) {
   epoch_floor_.erase(s);
 }
 
-template <typename Response, typename Issue, typename IsUnavailable>
+template <typename Response, typename Issue, typename Unavailable>
 Response ReplicaSet::RetryThroughFailover(ReplicaPtr* replica,
                                           Response response,
                                           const Issue& issue,
-                                          const IsUnavailable& unavailable) {
+                                          const Unavailable& unavailable) {
   while (unavailable(response)) {
     ReplicaPtr next = FailoverFrom(*replica);
     if (next == nullptr || next == *replica) break;
@@ -273,14 +282,15 @@ void ReplicaSet::SnapshotReplicas(std::vector<ReplicaPtr>* replicas,
   if (primary != nullptr) *primary = primary_;
 }
 
-// ----------------------------------------------------------------- reads
+// ------------------------------------------------------------- requests
 
-std::future<QueryResponse> ReplicaSet::QueryVertexAsync(
-    VertexId s, VertexId v, int64_t deadline_ms, uint64_t affinity) {
-  ReplicaPtr replica = AcquireReadReplica(affinity);
+std::future<QueryResponse> ReplicaSet::Read(const Request& request,
+                                            uint64_t affinity) {
+  const bool standby_reads = RuleOf(request.verb).standby_reads;
+  ReplicaPtr replica =
+      standby_reads ? AcquireReadReplica(affinity) : AcquirePrimary();
   if (replica == nullptr) return ReadyQuery(RequestStatus::kUnavailable);
-  std::future<QueryResponse> first =
-      replica->backend->QueryVertexAsync(s, v, deadline_ms);
+  std::future<QueryResponse> first = replica->backend->Read(request);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (replicas_.size() == 1) return first;  // nobody to fail over to
@@ -290,46 +300,18 @@ std::future<QueryResponse> ReplicaSet::QueryVertexAsync(
   // its replicas) alive even if the router drops the slot mid-request.
   return std::async(
       std::launch::deferred,
-      [self = shared_from_this(), s, v, deadline_ms,
+      [self = shared_from_this(), request, standby_reads,
        replica = std::move(replica), first = std::move(first)]() mutable {
-        const auto issue = [s, v, deadline_ms](ShardBackend* backend) {
-          return backend->QueryVertexAsync(s, v, deadline_ms).get();
-        };
         QueryResponse response = self->RetryThroughFailover(
-            &replica, first.get(), issue,
-            [](const QueryResponse& r) {
-              return r.status == RequestStatus::kUnavailable;
-            });
-        return self->ObserveRead(std::move(replica), s,
-                                 std::move(response), issue);
-      });
-}
-
-std::future<QueryResponse> ReplicaSet::TopKAsync(VertexId s, int k,
-                                                 int64_t deadline_ms,
-                                                 uint64_t affinity) {
-  ReplicaPtr replica = AcquireReadReplica(affinity);
-  if (replica == nullptr) return ReadyQuery(RequestStatus::kUnavailable);
-  std::future<QueryResponse> first =
-      replica->backend->TopKAsync(s, k, deadline_ms);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (replicas_.size() == 1) return first;
-  }
-  return std::async(
-      std::launch::deferred,
-      [self = shared_from_this(), s, k, deadline_ms,
-       replica = std::move(replica), first = std::move(first)]() mutable {
-        const auto issue = [s, k, deadline_ms](ShardBackend* backend) {
-          return backend->TopKAsync(s, k, deadline_ms).get();
-        };
-        QueryResponse response = self->RetryThroughFailover(
-            &replica, first.get(), issue,
-            [](const QueryResponse& r) {
-              return r.status == RequestStatus::kUnavailable;
-            });
-        return self->ObserveRead(std::move(replica), s,
-                                 std::move(response), issue);
+            &replica, first.get(),
+            [&request](ShardBackend* backend) {
+              return backend->Read(request).get();
+            },
+            IsUnavailable);
+        // Failover only for the rest (see VerbRule::standby_reads).
+        if (!standby_reads) return response;
+        return self->ObserveRead(std::move(replica), request,
+                                 std::move(response));
       });
 }
 
@@ -387,91 +369,11 @@ std::future<std::vector<QueryResponse>> ReplicaSet::MultiSourceAsync(
       });
 }
 
-// ------------------------------------------------------- estimator reads
-
-std::future<QueryResponse> ReplicaSet::QueryPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  ReplicaPtr replica = AcquirePrimary();
-  if (replica == nullptr) return ReadyQuery(RequestStatus::kUnavailable);
-  std::future<QueryResponse> first =
-      replica->backend->QueryPairAsync(s, t, deadline_ms);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (replicas_.size() == 1) return first;
-  }
-  // Failover only — no ObserveRead (see the header: estimator epochs are
-  // not comparable with the per-source staleness floor).
-  return std::async(
-      std::launch::deferred,
-      [self = shared_from_this(), s, t, deadline_ms,
-       replica = std::move(replica), first = std::move(first)]() mutable {
-        return self->RetryThroughFailover(
-            &replica, first.get(),
-            [s, t, deadline_ms](ShardBackend* backend) {
-              return backend->QueryPairAsync(s, t, deadline_ms).get();
-            },
-            [](const QueryResponse& r) {
-              return r.status == RequestStatus::kUnavailable;
-            });
-      });
-}
-
-std::future<QueryResponse> ReplicaSet::HybridPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  ReplicaPtr replica = AcquirePrimary();
-  if (replica == nullptr) return ReadyQuery(RequestStatus::kUnavailable);
-  std::future<QueryResponse> first =
-      replica->backend->HybridPairAsync(s, t, deadline_ms);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (replicas_.size() == 1) return first;
-  }
-  return std::async(
-      std::launch::deferred,
-      [self = shared_from_this(), s, t, deadline_ms,
-       replica = std::move(replica), first = std::move(first)]() mutable {
-        return self->RetryThroughFailover(
-            &replica, first.get(),
-            [s, t, deadline_ms](ShardBackend* backend) {
-              return backend->HybridPairAsync(s, t, deadline_ms).get();
-            },
-            [](const QueryResponse& r) {
-              return r.status == RequestStatus::kUnavailable;
-            });
-      });
-}
-
-std::future<QueryResponse> ReplicaSet::ReverseTopKAsync(
-    VertexId t, int k, int64_t deadline_ms) {
-  ReplicaPtr replica = AcquirePrimary();
-  if (replica == nullptr) return ReadyQuery(RequestStatus::kUnavailable);
-  std::future<QueryResponse> first =
-      replica->backend->ReverseTopKAsync(t, k, deadline_ms);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (replicas_.size() == 1) return first;
-  }
-  return std::async(
-      std::launch::deferred,
-      [self = shared_from_this(), t, k, deadline_ms,
-       replica = std::move(replica), first = std::move(first)]() mutable {
-        return self->RetryThroughFailover(
-            &replica, first.get(),
-            [t, k, deadline_ms](ShardBackend* backend) {
-              return backend->ReverseTopKAsync(t, k, deadline_ms).get();
-            },
-            [](const QueryResponse& r) {
-              return r.status == RequestStatus::kUnavailable;
-            });
-      });
-}
-
 // ------------------------------------------------------------------ feed
 
-MaintResponse ReplicaSet::RetryWhileShed(
-    const ReplicaPtr& replica, MaintResponse response,
-    const std::function<std::future<MaintResponse>(ShardBackend*)>&
-        submit) {
+MaintResponse ReplicaSet::RetryWhileShed(const ReplicaPtr& replica,
+                                         MaintResponse response,
+                                         const Request& request) {
   while (response.status == RequestStatus::kShedQueueFull) {
     // Backpressure, not loss: the feed is replicated state, so a shed
     // replica is retried until it accepts — it may lag, never diverge.
@@ -479,22 +381,12 @@ MaintResponse ReplicaSet::RetryWhileShed(
     if (options_.update_retry_backoff.count() > 0) {
       std::this_thread::sleep_for(options_.update_retry_backoff);
     }
-    response = submit(replica->backend.get()).get();
+    response = replica->backend->Feed(request).get();
   }
   return response;
 }
 
-MaintResponse ReplicaSet::SubmitFeedWithRetry(
-    const ReplicaPtr& replica,
-    const std::function<std::future<MaintResponse>(ShardBackend*)>&
-        submit) {
-  return RetryWhileShed(replica, submit(replica->backend.get()).get(),
-                        submit);
-}
-
-MaintResponse ReplicaSet::FanOutFeed(
-    const std::function<std::future<MaintResponse>(ShardBackend*)>&
-        submit) {
+MaintResponse ReplicaSet::FanOutFeed(const Request& request) {
   // One fan-out at a time: every replica's maintenance queue receives
   // the same op sequence, the precondition for cross-replica epoch
   // agreement (see the file comment of replica_set.h).
@@ -517,12 +409,12 @@ MaintResponse ReplicaSet::FanOutFeed(
       std::lock_guard<std::mutex> lock(mu_);
       if (!replica->live) continue;
     }
-    inflight.emplace_back(replica, submit(replica->backend.get()));
+    inflight.emplace_back(replica, replica->backend->Feed(request));
   }
   std::vector<std::pair<ReplicaPtr, MaintResponse>> applied;
   for (auto& [replica, future] : inflight) {
     const MaintResponse response =
-        RetryWhileShed(replica, future.get(), submit);
+        RetryWhileShed(replica, future.get(), request);
     if (response.status == RequestStatus::kUnavailable) {
       // A standby that missed a feed op is behind forever — dead, never
       // promotable. The op itself is unharmed: the primary carries it.
@@ -538,7 +430,8 @@ MaintResponse ReplicaSet::FanOutFeed(
 
   // Phase 2 — the primary. Its answer is the group's answer.
   for (;;) {
-    const MaintResponse response = SubmitFeedWithRetry(primary, submit);
+    const MaintResponse response = RetryWhileShed(
+        primary, primary->backend->Feed(request).get(), request);
     if (response.status != RequestStatus::kUnavailable) return response;
     ReplicaPtr next = FailoverFrom(primary);
     if (next == nullptr || next == primary) {
@@ -557,107 +450,44 @@ MaintResponse ReplicaSet::FanOutFeed(
   }
 }
 
-std::future<MaintResponse> ReplicaSet::ApplyUpdatesAsync(
-    const UpdateBatch& batch) {
+std::future<MaintResponse> ReplicaSet::Feed(const Request& request) {
+  const VerbRule& rule = RuleOf(request.verb);
+  DPPR_CHECK_MSG(rule.kind != VerbKind::kRead, "not a feed verb");
+  if (request.verb == Verb::kRemoveSource) {
+    // Forget the served-epoch floor up front: if the removal lands, a
+    // later tenant of this id restarts its epoch sequence at 1 and must
+    // not be judged against the old tenant's floor. If it fails
+    // (kUnknownSource), the floor rebuilds from the very next read — a
+    // one-read gap in enforcement, never a wrong answer.
+    ForgetSource(request.source);
+  }
   // Submit OUTSIDE mu_ (SolePrimary only copies the pointer): a remote
   // submission is a socket write that can block on a slow peer, and
   // holding mu_ through it would stall every concurrent read's
   // AcquirePrimary. Single replica = the PR 3/4 fast path, bit-identical
   // semantics (the router's own shed-retry loop handles kShedQueueFull).
   if (ReplicaPtr sole = SolePrimary(); sole != nullptr) {
-    return sole->backend->ApplyUpdatesAsync(batch);
+    return sole->backend->Feed(request);
   }
   if (AcquirePrimary() == nullptr) {
     return ReadyMaint(RequestStatus::kUnavailable);
   }
-  // Replicated: a real thread runs the ordered fan-out so the router's
-  // cross-slot fan-out still overlaps slots. The batch is copied — the
-  // thread may outlive the caller's reference.
-  return std::async(std::launch::async,
-                    [self = shared_from_this(), batch] {
-                      return self->FanOutFeed(
-                          [&batch](ShardBackend* backend) {
-                            return backend->ApplyUpdatesAsync(batch);
-                          });
-                    });
-}
-
-std::future<MaintResponse> ReplicaSet::AddSourceAsync(VertexId s) {
-  if (ReplicaPtr sole = SolePrimary(); sole != nullptr) {
-    return sole->backend->AddSourceAsync(s);
-  }
-  if (AcquirePrimary() == nullptr) {
-    return ReadyMaint(RequestStatus::kUnavailable);
-  }
-  // Source admin rides the same ordered fan-out as updates: every replica
-  // sees adds/removes at the same point of the feed, so their from-scratch
-  // pushes run against identical graphs and start at the same epoch.
-  // DEFERRED, not a thread: only one slot is involved (nothing to
-  // overlap), and the caller must consume the future while it still
-  // holds the routing lock — that is what orders the fan-out against
-  // exclusive-lock topology ops (quiesce can only drain work that has
-  // actually been submitted).
-  return std::async(std::launch::deferred,
-                    [self = shared_from_this(), s] {
-                      return self->FanOutFeed([s](ShardBackend* backend) {
-                        return backend->AddSourceAsync(s);
-                      });
-                    });
-}
-
-std::future<MaintResponse> ReplicaSet::RemoveSourceAsync(VertexId s) {
-  // Forget the served-epoch floor up front: if the removal lands, a later
-  // tenant of this id restarts its epoch sequence at 1 and must not be
-  // judged against the old tenant's floor. If it fails (kUnknownSource),
-  // the floor rebuilds from the very next read — a one-read gap in
-  // enforcement, never a wrong answer.
-  ForgetSource(s);
-  if (ReplicaPtr sole = SolePrimary(); sole != nullptr) {
-    return sole->backend->RemoveSourceAsync(s);
-  }
-  if (AcquirePrimary() == nullptr) {
-    return ReadyMaint(RequestStatus::kUnavailable);
-  }
-  // Deferred for the same reason as AddSourceAsync.
-  return std::async(std::launch::deferred,
-                    [self = shared_from_this(), s] {
-                      return self->FanOutFeed([s](ShardBackend* backend) {
-                        return backend->RemoveSourceAsync(s);
-                      });
-                    });
-}
-
-std::future<MaintResponse> ReplicaSet::AddTargetAsync(VertexId t) {
-  if (ReplicaPtr sole = SolePrimary(); sole != nullptr) {
-    return sole->backend->AddTargetAsync(t);
-  }
-  if (AcquirePrimary() == nullptr) {
-    return ReadyMaint(RequestStatus::kUnavailable);
-  }
-  // Deferred fan-out for the same reason as AddSourceAsync: every replica
-  // registers the target at the same point of the feed, so their
-  // from-scratch reverse pushes run against identical graphs.
-  return std::async(std::launch::deferred,
-                    [self = shared_from_this(), t] {
-                      return self->FanOutFeed([t](ShardBackend* backend) {
-                        return backend->AddTargetAsync(t);
-                      });
-                    });
-}
-
-std::future<MaintResponse> ReplicaSet::RemoveTargetAsync(VertexId t) {
-  if (ReplicaPtr sole = SolePrimary(); sole != nullptr) {
-    return sole->backend->RemoveTargetAsync(t);
-  }
-  if (AcquirePrimary() == nullptr) {
-    return ReadyMaint(RequestStatus::kUnavailable);
-  }
-  return std::async(std::launch::deferred,
-                    [self = shared_from_this(), t] {
-                      return self->FanOutFeed([t](ShardBackend* backend) {
-                        return backend->RemoveTargetAsync(t);
-                      });
-                    });
+  // Replicated. The feed runs on a real thread so the router's cross-slot
+  // fan-out still overlaps slots; the request is copied, since the thread
+  // may outlive the caller's. An admin op is DEFERRED instead: it names
+  // one slot (nothing to overlap), and the caller must consume the future
+  // while it still holds the routing lock — that is what orders the
+  // fan-out against exclusive-lock topology ops (quiesce can only drain
+  // work that has actually been submitted). Every replica thus sees
+  // source and target admin at the same point of the feed, so their
+  // from-scratch pushes run against identical graphs.
+  const std::launch policy = rule.kind == VerbKind::kFeed
+                                 ? std::launch::async
+                                 : std::launch::deferred;
+  return std::async(policy, [self = shared_from_this(), request] {
+    return request.verb == Verb::kQuiesce ? self->QuiesceAll()
+                                          : self->FanOutFeed(request);
+  });
 }
 
 MaintResponse ReplicaSet::QuiesceAll() {
@@ -671,7 +501,8 @@ MaintResponse ReplicaSet::QuiesceAll() {
       std::lock_guard<std::mutex> lock(mu_);
       if (!replica->live) continue;
     }
-    barriers.emplace_back(replica, replica->backend->QuiesceAsync());
+    barriers.emplace_back(replica,
+                          replica->backend->Feed({.verb = Verb::kQuiesce}));
   }
   if (barriers.empty()) return Maint(RequestStatus::kUnavailable);
   MaintResponse combined = Maint(RequestStatus::kOk);
@@ -704,18 +535,6 @@ MaintResponse ReplicaSet::QuiesceAll() {
   return combined;
 }
 
-std::future<MaintResponse> ReplicaSet::QuiesceAsync() {
-  if (ReplicaPtr sole = SolePrimary(); sole != nullptr) {
-    return sole->backend->QuiesceAsync();
-  }
-  if (AcquirePrimary() == nullptr) {
-    return ReadyMaint(RequestStatus::kUnavailable);
-  }
-  return std::async(std::launch::async, [self = shared_from_this()] {
-    return self->QuiesceAll();
-  });
-}
-
 // ------------------------------------------------------------- migration
 
 MaintResponse ReplicaSet::ExtractBlob(VertexId s, std::string* blob) {
@@ -732,11 +551,9 @@ MaintResponse ReplicaSet::ExtractBlob(VertexId s, std::string* blob) {
       [s, blob](ShardBackend* backend) {
         return backend->ExtractBlob(s, blob);
       },
-      [](const MaintResponse& response) {
-        return response.status == RequestStatus::kUnavailable;
-      });
+      IsUnavailable);
   if (extracted.status != RequestStatus::kOk) return extracted;
-  ForgetSource(s);  // the source leaves the slot; see RemoveSourceAsync
+  ForgetSource(s);  // the source leaves the slot; see Feed
 
   // Drop the standbys' copies so the slot's replicas stay in lockstep.
   for (const ReplicaPtr& replica : replicas) {
@@ -747,7 +564,9 @@ MaintResponse ReplicaSet::ExtractBlob(VertexId s, std::string* blob) {
     }
     const MaintResponse removed =
         RetryShedBlocking([&replica, s] {
-          return replica->backend->RemoveSourceAsync(s).get();
+          return replica->backend
+              ->Feed({.verb = Verb::kRemoveSource, .source = s})
+              .get();
         });
     if (removed.status == RequestStatus::kUnavailable) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -769,9 +588,7 @@ MaintResponse ReplicaSet::InjectBlob(const std::string& blob) {
       [&blob](ShardBackend* backend) {
         return backend->InjectBlob(blob);
       },
-      [](const MaintResponse& response) {
-        return response.status == RequestStatus::kUnavailable;
-      });
+      IsUnavailable);
   if (injected.status != RequestStatus::kOk) return injected;
 
   // The standbys install the SAME bytes at the SAME epoch — a later
@@ -791,7 +608,9 @@ MaintResponse ReplicaSet::InjectBlob(const std::string& blob) {
       ExportedSource decoded;
       if (DecodeMigrationBlob(blob, &decoded).ok()) {
         (void)RetryShedBlocking([&replica, &decoded] {
-          return replica->backend->RemoveSourceAsync(decoded.source).get();
+          return replica->backend
+              ->Feed({.verb = Verb::kRemoveSource, .source = decoded.source})
+              .get();
         });
         copy = RetryShedBlocking([&replica, &blob] {
           return replica->backend->InjectBlob(blob);
@@ -840,7 +659,8 @@ bool ReplicaSet::SyncReplica(int index) {
   // or report a fresh standby "synced" to a corpse. Demand positive
   // proof of primary liveness first: a resolved barrier.
   if (want.empty()) {
-    const MaintResponse probe = primary->backend->QuiesceAsync().get();
+    const MaintResponse probe =
+        primary->backend->Feed({.verb = Verb::kQuiesce}).get();
     if (probe.status != RequestStatus::kOk) {
       // A data-holding standby is the surviving copy: treat the dead
       // primary like any failover and promote it. An EMPTY standby must
@@ -871,7 +691,9 @@ bool ReplicaSet::SyncReplica(int index) {
   for (VertexId s : have) {
     if (std::binary_search(want.begin(), want.end(), s)) continue;
     const MaintResponse removed = RetryShedBlocking([&standby, s] {
-      return standby->backend->RemoveSourceAsync(s).get();
+      return standby->backend
+          ->Feed({.verb = Verb::kRemoveSource, .source = s})
+          .get();
     });
     if (removed.status == RequestStatus::kUnavailable) {
       return standby_died();
@@ -935,7 +757,9 @@ bool ReplicaSet::SyncReplica(int index) {
       continue;
     }
     const MaintResponse removed = RetryShedBlocking([&standby, t] {
-      return standby->backend->RemoveTargetAsync(t).get();
+      return standby->backend
+          ->Feed({.verb = Verb::kRemoveTarget, .target = t})
+          .get();
     });
     if (removed.status == RequestStatus::kUnavailable) {
       return standby_died();
@@ -946,7 +770,8 @@ bool ReplicaSet::SyncReplica(int index) {
       continue;
     }
     const MaintResponse added = RetryShedBlocking([&standby, t] {
-      return standby->backend->AddTargetAsync(t).get();
+      return standby->backend->Feed({.verb = Verb::kAddTarget, .target = t})
+          .get();
     });
     if (added.status == RequestStatus::kUnavailable) {
       return standby_died();
@@ -1060,12 +885,6 @@ void ReplicaSet::SnapshotMetrics(MetricsReport* report,
   }
 }
 
-MetricsReport ReplicaSet::Metrics() const {
-  MetricsReport combined;
-  SnapshotMetrics(&combined, nullptr, nullptr);
-  return combined;
-}
-
 const DynamicGraph* ReplicaSet::LocalGraph() const {
   std::vector<ReplicaPtr> replicas;
   SnapshotReplicas(&replicas, nullptr);
@@ -1074,19 +893,6 @@ const DynamicGraph* ReplicaSet::LocalGraph() const {
     if (graph != nullptr) return graph;
   }
   return nullptr;
-}
-
-std::string ReplicaSet::Describe() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "rs[";
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += replicas_[i]->backend->Describe();
-    if (replicas_[i] == primary_) out += "*";
-    if (!replicas_[i]->live) out += "!";
-  }
-  out += "]";
-  return out;
 }
 
 size_t ReplicaSet::NumReplicas() const {
@@ -1131,11 +937,6 @@ std::vector<int64_t> ReplicaSet::ReadsPerReplica() const {
 void ReplicaSet::MergeStaleness(Histogram* out) const {
   std::lock_guard<std::mutex> lock(staleness_mu_);
   out->Merge(staleness_);
-}
-
-uint64_t ReplicaSet::PrimaryMaxEpoch() const {
-  ReplicaPtr primary = AcquirePrimary();
-  return primary == nullptr ? 0 : primary->backend->MaxEpoch();
 }
 
 uint64_t ReplicaSet::GraphChecksum() const {

@@ -13,15 +13,17 @@
 // A ReplicaSet owns an ORDERED list of ShardBackends (the promotion
 // order) and is what the router's hash ring now places at each slot:
 //
-//   * reads — routed by ReadPolicy: to the primary (default), or round-
-//     robin across the live replicas under a bounded-staleness contract
-//     (see ReadPolicy / ReplicaSetOptions::max_epoch_lag). Whoever was
-//     asked, a kUnavailable answer marks that replica dead — promoting
-//     the next live replica in order if it was the primary (bumping the
-//     failover counter) — and re-issues the in-flight request on the
-//     current primary. The caller sees one answer, not the failover.
-//   * feed (updates / source add / remove) — fanned to every live
-//     replica, STANDBYS FIRST, then the primary, one fan-out at a time
+//   * reads (Read) — those whose row in server/request.h lets a standby
+//     answer are routed by ReadPolicy: to the primary (default), or
+//     round-robin across the live replicas under a bounded-staleness
+//     contract (see ReadPolicy / ReplicaSetOptions::max_epoch_lag); the
+//     rest go to the primary. Whoever was asked, a kUnavailable answer
+//     marks that replica dead — promoting the next live replica in order
+//     if it was the primary (bumping the failover counter) — and
+//     re-issues the in-flight request on the current primary. The caller
+//     sees one answer, not the failover.
+//   * feed and admin ops (Feed) — fanned to every live replica,
+//     STANDBYS FIRST, then the primary, one fan-out at a time
 //     (feed_mu_). Two invariants fall out: every replica receives the
 //     same op sequence (so per-source epochs, which advance by update
 //     REQUEST count — see PprIndex::ApplyBatch — agree across replicas),
@@ -55,7 +57,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -65,6 +66,7 @@
 
 #include "router/shard_backend.h"
 #include "server/ppr_service.h"
+#include "server/request.h"
 #include "util/histogram.h"
 
 namespace dppr {
@@ -136,55 +138,27 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   void Start();
   void Stop();
 
-  // --- Reads: policy-routed, failover on kUnavailable -------------------
+  // --- Requests (server/request.h) --------------------------------------
 
-  /// `affinity` pins a session to one replica (affinity % NumReplicas)
-  /// for per-source monotonic reads while that replica lives; 0 means no
-  /// pin (round-robin under kRoundRobinLive, the primary otherwise). A
-  /// pinned session whose replica died follows the slot to the primary.
-  std::future<QueryResponse> QueryVertexAsync(VertexId s, VertexId v,
-                                              int64_t deadline_ms,
-                                              uint64_t affinity = 0);
-  std::future<QueryResponse> TopKAsync(VertexId s, int k,
-                                       int64_t deadline_ms,
-                                       uint64_t affinity = 0);
+  /// Reads fail over on kUnavailable. A verb whose row lets a standby
+  /// answer (point and top-k) is routed by ReadPolicy and checked against
+  /// the per-source staleness floor; the others (the estimator reads) go
+  /// to the primary and only fail over. `affinity` pins a session to one
+  /// replica (affinity % NumReplicas) for per-source monotonic reads while
+  /// that replica lives; 0 means no pin (round-robin under
+  /// kRoundRobinLive, the primary otherwise). A pinned session whose
+  /// replica died follows the slot to the primary.
+  std::future<QueryResponse> Read(const Request& request,
+                                  uint64_t affinity = 0);
+  /// Feed and admin ops reach every live replica, standbys first, one op
+  /// at a time; the primary's answer is the slot's. kQuiesce is a barrier
+  /// through every live replica's maintenance queue instead.
+  std::future<MaintResponse> Feed(const Request& request);
   /// Grouped reads distribute by policy too, but bypass the per-source
   /// staleness floor (the bound is a per-source promise; a group spans
   /// sources whose epochs are not mutually comparable).
   std::future<std::vector<QueryResponse>> MultiSourceAsync(
       std::vector<VertexId> sources, VertexId v, int64_t deadline_ms);
-
-  // --- Estimator reads: primary-with-failover ---------------------------
-  //
-  // Estimator queries do NOT distribute across standbys and skip
-  // ObserveRead entirely: the staleness floor is keyed by SOURCE vertex
-  // id, and an estimator epoch is keyed by the estimator's own feed
-  // counter — mixing target-keyed epochs into the same per-VertexId floor
-  // would compare incomparable sequences. The estimator index is
-  // replicated deterministically by the same ordered feed (targets fan
-  // out like sources; walks are a pure function of (seed, update
-  // sequence)), so the primary is always fit to answer and failover is
-  // the only replica hop these reads ever take.
-
-  std::future<QueryResponse> QueryPairAsync(VertexId s, VertexId t,
-                                            int64_t deadline_ms);
-  std::future<QueryResponse> HybridPairAsync(VertexId s, VertexId t,
-                                             int64_t deadline_ms);
-  std::future<QueryResponse> ReverseTopKAsync(VertexId t, int k,
-                                              int64_t deadline_ms);
-
-  // --- Feed: all replicas, standbys first -------------------------------
-
-  std::future<MaintResponse> ApplyUpdatesAsync(const UpdateBatch& batch);
-  std::future<MaintResponse> AddSourceAsync(VertexId s);
-  std::future<MaintResponse> RemoveSourceAsync(VertexId s);
-  /// Target admin rides the same ordered fan-out as sources: every
-  /// replica registers the target at the same point of the feed, so
-  /// their reverse pushes run against identical graphs.
-  std::future<MaintResponse> AddTargetAsync(VertexId t);
-  std::future<MaintResponse> RemoveTargetAsync(VertexId t);
-  /// Barrier through every live replica's maintenance queue.
-  std::future<MaintResponse> QuiesceAsync();
 
   // --- Migration between slots (blocking; router-serialized) ------------
 
@@ -228,12 +202,9 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   /// counts the cross-shard fan-out.
   void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
                        Histogram* batch_ms) const;
-  MetricsReport Metrics() const;
 
   /// First live in-process graph replica, or nullptr (all-remote slot).
   const DynamicGraph* LocalGraph() const;
-  /// e.g. "rs[local*, 127.0.0.1:9000, local!]" — '*' primary, '!' dead.
-  std::string Describe() const;
 
   size_t NumReplicas() const;
   /// Index of the current primary (-1 when the set is empty).
@@ -259,8 +230,6 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   /// Merges this slot's staleness samples — how many epochs each OK read
   /// trailed the highest epoch served for its source — into *out.
   void MergeStaleness(Histogram* out) const;
-  /// Highest snapshot epoch the current primary publishes (0 if down).
-  uint64_t PrimaryMaxEpoch() const;
   /// The current primary's graph fingerprint (0 if down) — what the
   /// router's join handshake compares a candidate against.
   uint64_t GraphChecksum() const;
@@ -281,19 +250,19 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   /// `unavailable(response)`, mark *replica dead, promote, and re-issue
   /// `issue` on the successor. On return *replica is the replica whose
   /// answer is returned (the last live primary tried).
-  template <typename Response, typename Issue, typename IsUnavailable>
+  template <typename Response, typename Issue, typename Unavailable>
   Response RetryThroughFailover(ReplicaPtr* replica, Response response,
                                 const Issue& issue,
-                                const IsUnavailable& unavailable);
+                                const Unavailable& unavailable);
   /// Marks `failed` dead and returns the replica now fit to serve (the
   /// possibly-promoted primary), or nullptr when none is live.
   ReplicaPtr FailoverFrom(const ReplicaPtr& failed);
   /// The current primary, or nullptr when the set is empty / all-dead.
   ReplicaPtr AcquirePrimary() const;
   /// The replica a read should land on under the configured policy (see
-  /// QueryVertexAsync on `affinity`). Falls back to the primary whenever
-  /// distribution has nothing to offer (kPrimaryOnly, single replica, no
-  /// live replica, dead pin).
+  /// Read on `affinity`). Falls back to the primary whenever distribution
+  /// has nothing to offer (kPrimaryOnly, single replica, no live replica,
+  /// dead pin).
   ReplicaPtr AcquireReadReplica(uint64_t affinity) const;
   /// Post-read bookkeeping + contract enforcement for replicated slots:
   /// re-asks the primary when a standby refused a read it would serve
@@ -301,9 +270,8 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   /// violates max_epoch_lag, records the staleness sample, advances the
   /// per-source served-epoch floor, and counts the read on the replica
   /// that finally answered.
-  QueryResponse ObserveRead(
-      ReplicaPtr replica, VertexId s, QueryResponse response,
-      const std::function<QueryResponse(ShardBackend*)>& issue);
+  QueryResponse ObserveRead(ReplicaPtr replica, const Request& request,
+                            QueryResponse response);
   /// Drops source `s` from the served-epoch floor — a source leaving the
   /// slot (migration/removal) must not haunt a later tenant whose epoch
   /// sequence restarts.
@@ -316,23 +284,16 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   void SnapshotReplicas(std::vector<ReplicaPtr>* replicas,
                         ReplicaPtr* primary) const;
   /// THE feed backpressure loop: while `response` is kShedQueueFull,
-  /// backs off and resubmits to `replica` (counting update_retries).
-  MaintResponse RetryWhileShed(
-      const ReplicaPtr& replica, MaintResponse response,
-      const std::function<std::future<MaintResponse>(ShardBackend*)>&
-          submit);
-  /// Submits through `submit` until the replica stops shedding.
-  MaintResponse SubmitFeedWithRetry(
-      const ReplicaPtr& replica,
-      const std::function<std::future<MaintResponse>(ShardBackend*)>&
-          submit);
+  /// backs off and resubmits `request` to `replica` (counting
+  /// update_retries).
+  MaintResponse RetryWhileShed(const ReplicaPtr& replica,
+                               MaintResponse response,
+                               const Request& request);
   /// The ordered fan-out: every live standby first, then the primary.
   /// Returns the primary's response (or, after a primary death, the
   /// response of the standby promoted in its place — which already
   /// applied the op in the first phase).
-  MaintResponse FanOutFeed(
-      const std::function<std::future<MaintResponse>(ShardBackend*)>&
-          submit);
+  MaintResponse FanOutFeed(const Request& request);
   MaintResponse QuiesceAll();
 
   ReplicaSetOptions options_;

@@ -1,8 +1,5 @@
 #include "router/shard_backend.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "router/migration.h"
@@ -92,16 +89,14 @@ void LocalShardBackend::Start() {
 
 void LocalShardBackend::Stop() { service_->Stop(); }
 
-std::future<QueryResponse> LocalShardBackend::QueryVertexAsync(
-    VertexId s, VertexId v, int64_t deadline_ms) {
+std::future<QueryResponse> LocalShardBackend::Read(const Request& request) {
   if (severed()) return ReadyQuery(RequestStatus::kUnavailable);
-  return service_->QueryVertexAsync(s, v, deadline_ms);
+  return service_->Read(request);
 }
 
-std::future<QueryResponse> LocalShardBackend::TopKAsync(
-    VertexId s, int k, int64_t deadline_ms) {
-  if (severed()) return ReadyQuery(RequestStatus::kUnavailable);
-  return service_->TopKAsync(s, k, deadline_ms);
+std::future<MaintResponse> LocalShardBackend::Feed(const Request& request) {
+  if (severed()) return ReadyMaint(RequestStatus::kUnavailable);
+  return service_->Feed(request);
 }
 
 std::future<std::vector<QueryResponse>> LocalShardBackend::MultiSourceAsync(
@@ -115,71 +110,7 @@ std::future<std::vector<QueryResponse>> LocalShardBackend::MultiSourceAsync(
     promise.set_value(std::move(responses));
     return promise.get_future();
   }
-  // Submit everything now (so the requests queue concurrently); defer
-  // only the gather to the caller's .get().
-  std::vector<std::future<QueryResponse>> futures;
-  futures.reserve(sources.size());
-  for (VertexId s : sources) {
-    futures.push_back(service_->QueryVertexAsync(s, v, deadline_ms));
-  }
-  return std::async(
-      std::launch::deferred,
-      [futures = std::move(futures)]() mutable {
-        std::vector<QueryResponse> responses;
-        responses.reserve(futures.size());
-        for (auto& future : futures) responses.push_back(future.get());
-        return responses;
-      });
-}
-
-std::future<MaintResponse> LocalShardBackend::ApplyUpdatesAsync(
-    const UpdateBatch& batch) {
-  if (severed()) return ReadyMaint(RequestStatus::kUnavailable);
-  return service_->ApplyUpdatesAsync(batch);
-}
-
-std::future<MaintResponse> LocalShardBackend::AddSourceAsync(VertexId s) {
-  if (severed()) return ReadyMaint(RequestStatus::kUnavailable);
-  return service_->AddSourceAsync(s);
-}
-
-std::future<MaintResponse> LocalShardBackend::RemoveSourceAsync(
-    VertexId s) {
-  if (severed()) return ReadyMaint(RequestStatus::kUnavailable);
-  return service_->RemoveSourceAsync(s);
-}
-
-std::future<MaintResponse> LocalShardBackend::QuiesceAsync() {
-  if (severed()) return ReadyMaint(RequestStatus::kUnavailable);
-  return service_->QuiesceAsync();
-}
-
-std::future<QueryResponse> LocalShardBackend::QueryPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  if (severed()) return ReadyQuery(RequestStatus::kUnavailable);
-  return service_->QueryPairAsync(s, t, deadline_ms);
-}
-
-std::future<QueryResponse> LocalShardBackend::HybridPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  if (severed()) return ReadyQuery(RequestStatus::kUnavailable);
-  return service_->HybridPairAsync(s, t, deadline_ms);
-}
-
-std::future<QueryResponse> LocalShardBackend::ReverseTopKAsync(
-    VertexId t, int k, int64_t deadline_ms) {
-  if (severed()) return ReadyQuery(RequestStatus::kUnavailable);
-  return service_->ReverseTopKAsync(t, k, deadline_ms);
-}
-
-std::future<MaintResponse> LocalShardBackend::AddTargetAsync(VertexId t) {
-  if (severed()) return ReadyMaint(RequestStatus::kUnavailable);
-  return service_->AddTargetAsync(t);
-}
-
-std::future<MaintResponse> LocalShardBackend::RemoveTargetAsync(VertexId t) {
-  if (severed()) return ReadyMaint(RequestStatus::kUnavailable);
-  return service_->RemoveTargetAsync(t);
+  return service_->MultiSourceAsync(std::move(sources), v, deadline_ms);
 }
 
 std::vector<VertexId> LocalShardBackend::Targets() const {
@@ -246,29 +177,12 @@ bool LocalShardBackend::HasSource(VertexId s) const {
 }
 
 uint64_t LocalShardBackend::MaxEpoch() const {
-  if (severed()) return 0;
-  uint64_t max_epoch = 0;
-  const size_t sources = index_->NumSources();
-  for (size_t i = 0; i < sources; ++i) {
-    max_epoch = std::max(max_epoch, index_->Epoch(i));
-  }
-  return max_epoch;
+  return severed() ? 0 : index_->MaxEpoch();
 }
 
 uint64_t LocalShardBackend::GraphChecksum() const {
   if (severed()) return 0;
   return graph_->Checksum();
-}
-
-MetricsReport LocalShardBackend::Metrics() const {
-  if (severed()) return MetricsReport{};
-  return service_->Metrics();
-}
-
-void LocalShardBackend::MergeLatenciesInto(Histogram* query_ms,
-                                           Histogram* batch_ms) const {
-  if (severed()) return;
-  service_->MergeLatenciesInto(query_ms, batch_ms);
 }
 
 void LocalShardBackend::SnapshotMetrics(MetricsReport* report,
@@ -294,61 +208,18 @@ Status RemoteShardBackend::FetchStats(net::ShardStats* out) const {
 
 void RemoteShardBackend::Stop() { client_->Disconnect(); }
 
-std::future<QueryResponse> RemoteShardBackend::QueryVertexAsync(
-    VertexId s, VertexId v, int64_t deadline_ms) {
-  return client_->QueryVertexAsync(s, v, deadline_ms);
+std::future<QueryResponse> RemoteShardBackend::Read(const Request& request) {
+  return client_->Read(request);
 }
 
-std::future<QueryResponse> RemoteShardBackend::TopKAsync(
-    VertexId s, int k, int64_t deadline_ms) {
-  return client_->TopKAsync(s, k, deadline_ms);
+std::future<MaintResponse> RemoteShardBackend::Feed(const Request& request) {
+  return client_->Feed(request);
 }
 
 std::future<std::vector<QueryResponse>>
 RemoteShardBackend::MultiSourceAsync(std::vector<VertexId> sources,
                                      VertexId v, int64_t deadline_ms) {
   return client_->MultiSourceAsync(std::move(sources), v, deadline_ms);
-}
-
-std::future<MaintResponse> RemoteShardBackend::ApplyUpdatesAsync(
-    const UpdateBatch& batch) {
-  return client_->ApplyUpdatesAsync(batch);
-}
-
-std::future<MaintResponse> RemoteShardBackend::AddSourceAsync(VertexId s) {
-  return client_->AddSourceAsync(s);
-}
-
-std::future<MaintResponse> RemoteShardBackend::RemoveSourceAsync(
-    VertexId s) {
-  return client_->RemoveSourceAsync(s);
-}
-
-std::future<MaintResponse> RemoteShardBackend::QuiesceAsync() {
-  return client_->QuiesceAsync();
-}
-
-std::future<QueryResponse> RemoteShardBackend::QueryPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  return client_->QueryPairAsync(s, t, deadline_ms);
-}
-
-std::future<QueryResponse> RemoteShardBackend::HybridPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  return client_->HybridPairAsync(s, t, deadline_ms);
-}
-
-std::future<QueryResponse> RemoteShardBackend::ReverseTopKAsync(
-    VertexId t, int k, int64_t deadline_ms) {
-  return client_->ReverseTopKAsync(t, k, deadline_ms);
-}
-
-std::future<MaintResponse> RemoteShardBackend::AddTargetAsync(VertexId t) {
-  return client_->AddTargetAsync(t);
-}
-
-std::future<MaintResponse> RemoteShardBackend::RemoveTargetAsync(VertexId t) {
-  return client_->RemoveTargetAsync(t);
 }
 
 std::vector<VertexId> RemoteShardBackend::Targets() const {
@@ -389,32 +260,10 @@ bool RemoteShardBackend::HasSource(VertexId s) const {
   return false;
 }
 
-uint64_t RemoteShardBackend::MaxEpoch() const {
-  net::ShardStats stats;
-  if (!client_->Stats(/*include_samples=*/false, &stats).ok()) return 0;
-  return stats.max_epoch;
-}
-
 uint64_t RemoteShardBackend::GraphChecksum() const {
   net::ShardStats stats;
   if (!client_->Stats(/*include_samples=*/false, &stats).ok()) return 0;
   return stats.graph_checksum;
-}
-
-MetricsReport RemoteShardBackend::Metrics() const {
-  net::ShardStats stats;
-  if (!client_->Stats(/*include_samples=*/false, &stats).ok()) {
-    return MetricsReport{};
-  }
-  return stats.report;
-}
-
-void RemoteShardBackend::MergeLatenciesInto(Histogram* query_ms,
-                                            Histogram* batch_ms) const {
-  net::ShardStats stats;
-  if (!client_->Stats(/*include_samples=*/true, &stats).ok()) return;
-  for (double v : stats.query_latency_samples) query_ms->Add(v);
-  for (double v : stats.batch_latency_samples) batch_ms->Add(v);
 }
 
 void RemoteShardBackend::SnapshotMetrics(MetricsReport* report,

@@ -6,11 +6,12 @@
 // `--shards` into a fleet: LocalShardBackend is the old in-process stack,
 // RemoteShardBackend is a RemoteShardClient speaking the src/net wire
 // protocol to a PprServer in another process — and the router cannot
-// tell them apart. Migration crosses this interface as ENCODED blobs
-// (ExtractBlob/InjectBlob), not ExportedSource objects, so a source
-// moving local->remote, remote->local, or remote->remote ships exactly
-// the bytes the in-process router always round-tripped; the checksum is
-// verified on whichever side decodes.
+// tell them apart. Requests cross it as one typed Request
+// (server/request.h) through Read and Feed. Migration crosses it as
+// ENCODED blobs (ExtractBlob/InjectBlob), not ExportedSource objects, so
+// a source moving local->remote, remote->local, or remote->remote ships
+// exactly the bytes the in-process router always round-tripped; the
+// checksum is verified on whichever side decodes.
 
 #ifndef DPPR_ROUTER_SHARD_BACKEND_H_
 #define DPPR_ROUTER_SHARD_BACKEND_H_
@@ -28,6 +29,7 @@
 #include "index/ppr_index.h"
 #include "net/remote_client.h"
 #include "server/ppr_service.h"
+#include "server/request.h"
 #include "storage/durable_store.h"
 #include "util/histogram.h"
 
@@ -86,48 +88,16 @@ class ShardBackend {
   virtual void Start() = 0;
   virtual void Stop() = 0;
 
-  virtual std::future<QueryResponse> QueryVertexAsync(
-      VertexId s, VertexId v, int64_t deadline_ms) = 0;
-  virtual std::future<QueryResponse> TopKAsync(VertexId s, int k,
-                                               int64_t deadline_ms) = 0;
+  /// One request of an enveloped verb (server/request.h): a read is
+  /// answered by this shard, a feed or admin op applied to it.
+  virtual std::future<QueryResponse> Read(const Request& request) = 0;
+  virtual std::future<MaintResponse> Feed(const Request& request) = 0;
   /// p[v] for several sources this shard owns; the returned vector is in
   /// request order and sized like `sources`. Remote: one round trip.
   virtual std::future<std::vector<QueryResponse>> MultiSourceAsync(
       std::vector<VertexId> sources, VertexId v, int64_t deadline_ms) = 0;
-  virtual std::future<MaintResponse> ApplyUpdatesAsync(
-      const UpdateBatch& batch) = 0;
-  virtual std::future<MaintResponse> AddSourceAsync(VertexId s) = 0;
-  virtual std::future<MaintResponse> RemoveSourceAsync(VertexId s) = 0;
-  virtual std::future<MaintResponse> QuiesceAsync() = 0;
-
-  // --- Estimator surface (defaults keep pre-existing fakes compiling:
-  // a backend without an estimator rejects reads and owns no targets). --
-
-  virtual std::future<QueryResponse> QueryPairAsync(VertexId s, VertexId t,
-                                                    int64_t deadline_ms) {
-    (void)s, (void)t, (void)deadline_ms;
-    return responses::ReadyQuery(RequestStatus::kRejected);
-  }
-  virtual std::future<QueryResponse> HybridPairAsync(VertexId s, VertexId t,
-                                                     int64_t deadline_ms) {
-    (void)s, (void)t, (void)deadline_ms;
-    return responses::ReadyQuery(RequestStatus::kRejected);
-  }
-  virtual std::future<QueryResponse> ReverseTopKAsync(VertexId t, int k,
-                                                      int64_t deadline_ms) {
-    (void)t, (void)k, (void)deadline_ms;
-    return responses::ReadyQuery(RequestStatus::kRejected);
-  }
-  virtual std::future<MaintResponse> AddTargetAsync(VertexId t) {
-    (void)t;
-    return responses::ReadyMaint(RequestStatus::kRejected);
-  }
-  virtual std::future<MaintResponse> RemoveTargetAsync(VertexId t) {
-    (void)t;
-    return responses::ReadyMaint(RequestStatus::kRejected);
-  }
   /// Registered reverse-push targets on this shard.
-  virtual std::vector<VertexId> Targets() const { return {}; }
+  virtual std::vector<VertexId> Targets() const = 0;
 
   /// Lifts source `s` out of this shard as a checksummed migration blob.
   /// Blocking; kShedQueueFull is retryable (the router's migration loop
@@ -147,32 +117,19 @@ class ShardBackend {
   virtual std::vector<VertexId> Sources() const = 0;
   virtual size_t NumSources() const = 0;
   virtual bool HasSource(VertexId s) const = 0;
-  /// Highest snapshot epoch published across this shard's sources — the
-  /// shard's feed frontier, the reference point staleness is measured
-  /// against. 0 when empty or unreachable. Remote: answered by the
-  /// fixed-size stats verb.
-  virtual uint64_t MaxEpoch() const = 0;
 
   /// Fingerprint of this shard's graph replica
   /// (DynamicGraph::Checksum; wire frame v3 ships it in kStats). The
   /// router's join handshake compares a candidate's fingerprint against
   /// the quiesced fleet before admitting it. 0 = unknown/unreachable —
   /// never a valid fingerprint to compare against.
-  virtual uint64_t GraphChecksum() const { return 0; }
+  virtual uint64_t GraphChecksum() const = 0;
 
-  virtual MetricsReport Metrics() const = 0;
-  /// Pools this shard's exact latency samples into the caller's
-  /// histograms (remote: shipped over the wire, still exact).
-  virtual void MergeLatenciesInto(Histogram* query_ms,
-                                  Histogram* batch_ms) const = 0;
-  /// Counters AND samples in one observation. For a remote shard this is
-  /// a single kStats round trip, so the two views come from the same
-  /// instant (and half the RPCs of calling the two methods above).
+  /// Counters AND exact latency samples from one observation (for a
+  /// remote shard a single kStats round trip), pooled into the caller's
+  /// histograms. Leaves everything untouched when the shard is down.
   virtual void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
-                               Histogram* batch_ms) const {
-    *report = Metrics();
-    MergeLatenciesInto(query_ms, batch_ms);
-  }
+                               Histogram* batch_ms) const = 0;
 
   /// The in-process graph replica, or nullptr for a remote shard. The
   /// router clones a local donor's graph when it grows a local shard.
@@ -181,13 +138,9 @@ class ShardBackend {
   /// Fault injection: makes this backend behave like a dead shard from
   /// now on — every request answers kUnavailable, introspection answers
   /// empty — without tearing down the process underneath. For a remote
-  /// backend this severs the real connection. False if unsupported.
-  /// Drives the replica-failover chaos tests and the hub_server
-  /// kill-the-primary demo.
-  virtual bool Sever() { return false; }
-
-  /// "local" or "host:port" — log/debug labeling only.
-  virtual std::string Describe() const = 0;
+  /// backend this severs the real connection. Drives the replica-failover
+  /// chaos tests and the hub_server kill-the-primary demo.
+  virtual bool Sever() = 0;
 };
 
 /// \brief The in-process serving stack of PR 3: an owned graph replica,
@@ -212,27 +165,11 @@ class LocalShardBackend : public ShardBackend {
   void Start() override;
   void Stop() override;
 
-  std::future<QueryResponse> QueryVertexAsync(VertexId s, VertexId v,
-                                              int64_t deadline_ms) override;
-  std::future<QueryResponse> TopKAsync(VertexId s, int k,
-                                       int64_t deadline_ms) override;
+  std::future<QueryResponse> Read(const Request& request) override;
+  std::future<MaintResponse> Feed(const Request& request) override;
   std::future<std::vector<QueryResponse>> MultiSourceAsync(
       std::vector<VertexId> sources, VertexId v,
       int64_t deadline_ms) override;
-  std::future<MaintResponse> ApplyUpdatesAsync(
-      const UpdateBatch& batch) override;
-  std::future<MaintResponse> AddSourceAsync(VertexId s) override;
-  std::future<MaintResponse> RemoveSourceAsync(VertexId s) override;
-  std::future<MaintResponse> QuiesceAsync() override;
-
-  std::future<QueryResponse> QueryPairAsync(VertexId s, VertexId t,
-                                            int64_t deadline_ms) override;
-  std::future<QueryResponse> HybridPairAsync(VertexId s, VertexId t,
-                                             int64_t deadline_ms) override;
-  std::future<QueryResponse> ReverseTopKAsync(VertexId t, int k,
-                                              int64_t deadline_ms) override;
-  std::future<MaintResponse> AddTargetAsync(VertexId t) override;
-  std::future<MaintResponse> RemoveTargetAsync(VertexId t) override;
   std::vector<VertexId> Targets() const override;
 
   MaintResponse ExtractBlob(VertexId s, std::string* blob) override;
@@ -242,25 +179,17 @@ class LocalShardBackend : public ShardBackend {
   std::vector<VertexId> Sources() const override;
   size_t NumSources() const override;
   bool HasSource(VertexId s) const override;
-  uint64_t MaxEpoch() const override;
   uint64_t GraphChecksum() const override;
-  MetricsReport Metrics() const override;
-  void MergeLatenciesInto(Histogram* query_ms,
-                          Histogram* batch_ms) const override;
-  /// One observation: counters and samples under a single acquisition of
-  /// the metrics mutex (PprService::SnapshotMetrics). The inherited
-  /// default takes two, so a router report could pair counters with
-  /// samples from different instants.
   void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
                        Histogram* batch_ms) const override;
   const DynamicGraph* LocalGraph() const override {
     return severed() ? nullptr : graph_.get();
   }
   bool Sever() override;
-  std::string Describe() const override {
-    return severed() ? "local(severed)" : "local";
-  }
 
+  /// Highest snapshot epoch published across this shard's sources (0 when
+  /// empty or severed): the feed frontier recovery checks report.
+  uint64_t MaxEpoch() const;
   PprService* service() { return service_.get(); }
   /// The attached durable store (null without data_dir).
   storage::DurableStore* store() { return store_.get(); }
@@ -298,27 +227,11 @@ class RemoteShardBackend : public ShardBackend {
   void Start() override {}
   void Stop() override;
 
-  std::future<QueryResponse> QueryVertexAsync(VertexId s, VertexId v,
-                                              int64_t deadline_ms) override;
-  std::future<QueryResponse> TopKAsync(VertexId s, int k,
-                                       int64_t deadline_ms) override;
+  std::future<QueryResponse> Read(const Request& request) override;
+  std::future<MaintResponse> Feed(const Request& request) override;
   std::future<std::vector<QueryResponse>> MultiSourceAsync(
       std::vector<VertexId> sources, VertexId v,
       int64_t deadline_ms) override;
-  std::future<MaintResponse> ApplyUpdatesAsync(
-      const UpdateBatch& batch) override;
-  std::future<MaintResponse> AddSourceAsync(VertexId s) override;
-  std::future<MaintResponse> RemoveSourceAsync(VertexId s) override;
-  std::future<MaintResponse> QuiesceAsync() override;
-
-  std::future<QueryResponse> QueryPairAsync(VertexId s, VertexId t,
-                                            int64_t deadline_ms) override;
-  std::future<QueryResponse> HybridPairAsync(VertexId s, VertexId t,
-                                             int64_t deadline_ms) override;
-  std::future<QueryResponse> ReverseTopKAsync(VertexId t, int k,
-                                              int64_t deadline_ms) override;
-  std::future<MaintResponse> AddTargetAsync(VertexId t) override;
-  std::future<MaintResponse> RemoveTargetAsync(VertexId t) override;
   std::vector<VertexId> Targets() const override;
 
   MaintResponse ExtractBlob(VertexId s, std::string* blob) override;
@@ -327,17 +240,12 @@ class RemoteShardBackend : public ShardBackend {
   std::vector<VertexId> Sources() const override;
   size_t NumSources() const override;
   bool HasSource(VertexId s) const override;
-  uint64_t MaxEpoch() const override;
   uint64_t GraphChecksum() const override;
-  MetricsReport Metrics() const override;
-  void MergeLatenciesInto(Histogram* query_ms,
-                          Histogram* batch_ms) const override;
   void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
                        Histogram* batch_ms) const override;
   /// Severs the TCP connection: every later call answers kUnavailable,
   /// exactly as if the peer died. The remote process keeps running.
   bool Sever() override;
-  std::string Describe() const override { return client_->endpoint(); }
 
  private:
   // unique_ptr so const introspection methods can issue (non-const) RPCs.

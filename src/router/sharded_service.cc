@@ -135,163 +135,47 @@ ShardedPprService::Shard* ShardedPprService::OwnerShard(VertexId s) const {
   return owner < 0 ? nullptr : FindShard(owner);
 }
 
-std::future<QueryResponse> ShardedPprService::QueryVertexAsync(
-    VertexId s, VertexId v, int64_t deadline_ms, uint64_t affinity) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return ReadyQuery(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(s);
-  if (shard == nullptr) return ReadyQuery(RequestStatus::kClosed);
-  return shard->set->QueryVertexAsync(s, v, deadline_ms, affinity);
+ShardedPprService::Shard* ShardedPprService::RouteLocked(
+    const Request& request) const {
+  if (!started_ || stopped_) return nullptr;
+  return OwnerShard(RoutingKey(request));
 }
 
-std::future<QueryResponse> ShardedPprService::TopKAsync(VertexId s, int k,
-                                                        int64_t deadline_ms,
-                                                        uint64_t affinity) {
+std::future<QueryResponse> ShardedPprService::Read(const Request& request,
+                                                   uint64_t affinity) {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return ReadyQuery(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(s);
+  Shard* shard = RouteLocked(request);
   if (shard == nullptr) return ReadyQuery(RequestStatus::kClosed);
-  return shard->set->TopKAsync(s, k, deadline_ms, affinity);
+  return shard->set->Read(request, affinity);
 }
 
-QueryResponse ShardedPprService::Query(VertexId s, VertexId v,
-                                       int64_t deadline_ms,
-                                       uint64_t affinity) {
-  QueryResponse response;
+QueryResponse ShardedPprService::ReadRerouted(const Request& request,
+                                              uint64_t affinity) {
   for (int attempt = 0;; ++attempt) {
-    response = QueryVertexAsync(s, v, deadline_ms, affinity).get();
+    QueryResponse response = Read(request, affinity).get();
     if (response.status != RequestStatus::kUnknownSource ||
         attempt >= options_.reroute_retry_limit) {
       return response;
     }
-    // A source mid-migration is briefly absent from its old owner. The
-    // re-submission blocks on the routing lock until the topology change
-    // finishes, then lands on the new owner. A truly unknown source just
-    // pays a few extra O(log ring) lookups before the answer is believed.
+    // A source (or, for the estimator, a target) mid-migration is
+    // briefly absent from its old owner. The re-submission blocks on the
+    // routing lock until the topology change finishes, then lands on the
+    // new owner. A truly unknown id just pays a few extra O(log ring)
+    // lookups before the answer is believed.
     reroutes_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-QueryResponse ShardedPprService::TopK(VertexId s, int k, int64_t deadline_ms,
-                                      uint64_t affinity) {
-  QueryResponse response;
-  for (int attempt = 0;; ++attempt) {
-    response = TopKAsync(s, k, deadline_ms, affinity).get();
-    if (response.status != RequestStatus::kUnknownSource ||
-        attempt >= options_.reroute_retry_limit) {
-      return response;
-    }
-    reroutes_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-MaintResponse ShardedPprService::AddSource(VertexId s) {
+MaintResponse ShardedPprService::Feed(const Request& request) {
   // The shared lock is held across the WHOLE call, like ApplyUpdates: a
   // replicated slot's fan-out is a deferred future that runs at .get(),
   // and an exclusive-lock topology op (anti-entropy, AddShard) must not
   // be able to quiesce BETWEEN the routing decision and that fan-out —
   // its barrier can only drain work that has actually been submitted.
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return Maint(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(s);
+  Shard* shard = RouteLocked(request);
   if (shard == nullptr) return Maint(RequestStatus::kClosed);
-  return shard->set->AddSourceAsync(s).get();
-}
-
-MaintResponse ShardedPprService::RemoveSource(VertexId s) {
-  // Shared lock across the fan-out, same as AddSource.
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return Maint(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(s);
-  if (shard == nullptr) return Maint(RequestStatus::kClosed);
-  return shard->set->RemoveSourceAsync(s).get();
-}
-
-// ------------------------------------------- estimator (routed by target)
-
-std::future<QueryResponse> ShardedPprService::QueryPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return ReadyQuery(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(t);
-  if (shard == nullptr) return ReadyQuery(RequestStatus::kClosed);
-  return shard->set->QueryPairAsync(s, t, deadline_ms);
-}
-
-std::future<QueryResponse> ShardedPprService::HybridPairAsync(
-    VertexId s, VertexId t, int64_t deadline_ms) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return ReadyQuery(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(t);
-  if (shard == nullptr) return ReadyQuery(RequestStatus::kClosed);
-  return shard->set->HybridPairAsync(s, t, deadline_ms);
-}
-
-std::future<QueryResponse> ShardedPprService::ReverseTopKAsync(
-    VertexId t, int k, int64_t deadline_ms) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return ReadyQuery(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(t);
-  if (shard == nullptr) return ReadyQuery(RequestStatus::kClosed);
-  return shard->set->ReverseTopKAsync(t, k, deadline_ms);
-}
-
-QueryResponse ShardedPprService::QueryPair(VertexId s, VertexId t,
-                                           int64_t deadline_ms) {
-  QueryResponse response;
-  for (int attempt = 0;; ++attempt) {
-    response = QueryPairAsync(s, t, deadline_ms).get();
-    // kUnknownSource from the estimator means "this shard holds no state
-    // for the TARGET" — same mid-migration window as Query, same remedy.
-    if (response.status != RequestStatus::kUnknownSource ||
-        attempt >= options_.reroute_retry_limit) {
-      return response;
-    }
-    reroutes_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-QueryResponse ShardedPprService::HybridPair(VertexId s, VertexId t,
-                                            int64_t deadline_ms) {
-  QueryResponse response;
-  for (int attempt = 0;; ++attempt) {
-    response = HybridPairAsync(s, t, deadline_ms).get();
-    if (response.status != RequestStatus::kUnknownSource ||
-        attempt >= options_.reroute_retry_limit) {
-      return response;
-    }
-    reroutes_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-QueryResponse ShardedPprService::ReverseTopK(VertexId t, int k,
-                                             int64_t deadline_ms) {
-  QueryResponse response;
-  for (int attempt = 0;; ++attempt) {
-    response = ReverseTopKAsync(t, k, deadline_ms).get();
-    if (response.status != RequestStatus::kUnknownSource ||
-        attempt >= options_.reroute_retry_limit) {
-      return response;
-    }
-    reroutes_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-MaintResponse ShardedPprService::AddTarget(VertexId t) {
-  // Shared lock across the fan-out, same as AddSource.
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return Maint(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(t);
-  if (shard == nullptr) return Maint(RequestStatus::kClosed);
-  return shard->set->AddTargetAsync(t).get();
-}
-
-MaintResponse ShardedPprService::RemoveTarget(VertexId t) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!started_ || stopped_) return Maint(RequestStatus::kClosed);
-  Shard* shard = OwnerShard(t);
-  if (shard == nullptr) return Maint(RequestStatus::kClosed);
-  return shard->set->RemoveTargetAsync(t).get();
+  return shard->set->Feed(request).get();
 }
 
 // -------------------------------------------------- replicated updates
@@ -304,6 +188,8 @@ MaintResponse ShardedPprService::ApplyUpdates(UpdateBatch batch) {
   // would fork the replicas.
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!started_ || stopped_) return Maint(RequestStatus::kClosed);
+  const Request request{.verb = Verb::kApplyUpdates,
+                        .batch = std::move(batch)};
   std::vector<Shard*> pending;
   pending.reserve(shards_.size());
   for (const auto& shard : shards_) pending.push_back(shard.get());
@@ -312,7 +198,7 @@ MaintResponse ShardedPprService::ApplyUpdates(UpdateBatch batch) {
     std::vector<std::future<MaintResponse>> futures;
     futures.reserve(pending.size());
     for (Shard* shard : pending) {
-      futures.push_back(shard->set->ApplyUpdatesAsync(batch));
+      futures.push_back(shard->set->Feed(request));
     }
     std::vector<Shard*> shed;
     for (size_t i = 0; i < futures.size(); ++i) {
@@ -346,7 +232,7 @@ MaintResponse ShardedPprService::ApplyUpdates(UpdateBatch batch) {
     }
   }
   MaintResponse ok = Maint(RequestStatus::kOk);
-  ok.updates_applied = static_cast<int64_t>(batch.size());
+  ok.updates_applied = static_cast<int64_t>(request.batch.size());
   return ok;
 }
 
@@ -417,7 +303,10 @@ GlobalTopKResult ShardedPprService::GlobalTopK(int k, int64_t deadline_ms) {
       for (const auto& shard : shards_) {
         for (VertexId s : shard->set->Sources()) {
           queried.push_back(s);
-          futures.push_back(shard->set->TopKAsync(s, k, deadline_ms));
+          futures.push_back(shard->set->Read({.verb = Verb::kTopK,
+                                              .source = s,
+                                              .k = k,
+                                              .deadline_ms = deadline_ms}));
         }
       }
     }
@@ -456,10 +345,11 @@ GlobalTopKResult ShardedPprService::GlobalTopK(int k, int64_t deadline_ms) {
 
 void ShardedPprService::QuiesceAllLocked() {
   // Barriers go out to every slot at once; the waits overlap.
+  const Request barrier{.verb = Verb::kQuiesce};
   std::vector<std::pair<Shard*, std::future<MaintResponse>>> barriers;
   barriers.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    barriers.emplace_back(shard.get(), shard->set->QuiesceAsync());
+    barriers.emplace_back(shard.get(), shard->set->Feed(barrier));
   }
   for (auto& [shard, future] : barriers) {
     for (;;) {
@@ -476,7 +366,7 @@ void ShardedPprService::QuiesceAllLocked() {
       DPPR_CHECK_MSG(status == RequestStatus::kShedQueueFull,
                      "quiesce barrier refused");
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      future = shard->set->QuiesceAsync();
+      future = shard->set->Feed(barrier);
     }
   }
 }
@@ -529,10 +419,12 @@ size_t ShardedPprService::MigrateTargetsLocked(
     // new owner may refuse (kRejected: estimator disabled there) — the
     // target is then simply dropped, matching its volatile contract
     // (targets are re-registered after recovery, never persisted).
-    const MaintResponse added = responses::RetryShedBlocking(
-        [&] { return to->set->AddTargetAsync(t).get(); });
-    (void)responses::RetryShedBlocking(
-        [&] { return from->set->RemoveTargetAsync(t).get(); });
+    const MaintResponse added = responses::RetryShedBlocking([&] {
+      return to->set->Feed({.verb = Verb::kAddTarget, .target = t}).get();
+    });
+    (void)responses::RetryShedBlocking([&] {
+      return from->set->Feed({.verb = Verb::kRemoveTarget, .target = t}).get();
+    });
     if (added.status == RequestStatus::kOk) ++moved;
   }
   targets_migrated_.fetch_add(static_cast<int64_t>(moved),

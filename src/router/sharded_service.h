@@ -73,6 +73,7 @@
 #include "router/replica_set.h"
 #include "router/shard_backend.h"
 #include "server/ppr_service.h"
+#include "server/request.h"
 #include "util/histogram.h"
 
 namespace dppr {
@@ -192,52 +193,87 @@ class ShardedPprService {
   void Start();
   void Stop();
 
-  // --- By-source requests (routed to the owning shard) ------------------
+  // --- Routed requests --------------------------------------------------
+  //
+  // Each builder below is one Request (server/request.h), routed to the
+  // slot owning its key: the source for point, top-k and source admin;
+  // the TARGET for the estimator verbs — reverse-push state for t lives
+  // only on t's ring owner, and the source of a pair query plays no part
+  // in placement (every shard's walk index covers every vertex; see
+  // src/estimator/README.md). `affinity` (nonzero) pins the caller's
+  // session to one replica of the owning slot for per-source monotonic
+  // reads — see ReplicaSet::Read; 0 distributes by the slot's policy.
+  // The blocking reads re-route a kUnknownSource answer (see
+  // ShardedServiceOptions::reroute_retry_limit): a source or target
+  // mid-migration is briefly absent from its old owner.
 
-  /// `affinity` (nonzero) pins the caller's session to one replica of
-  /// the owning slot for per-source monotonic reads — see
-  /// ReplicaSet::QueryVertexAsync. 0 distributes by the slot's policy.
   std::future<QueryResponse> QueryVertexAsync(VertexId s, VertexId v,
                                               int64_t deadline_ms = 0,
-                                              uint64_t affinity = 0);
+                                              uint64_t affinity = 0) {
+    return Read({.verb = Verb::kQueryVertex, .source = s, .vertex = v,
+                 .deadline_ms = deadline_ms},
+                affinity);
+  }
   std::future<QueryResponse> TopKAsync(VertexId s, int k,
                                        int64_t deadline_ms = 0,
-                                       uint64_t affinity = 0);
-  /// Blocking reads; these re-route around an in-flight migration (see
-  /// ShardedServiceOptions::reroute_retry_limit).
+                                       uint64_t affinity = 0) {
+    return Read({.verb = Verb::kTopK, .source = s, .k = k,
+                 .deadline_ms = deadline_ms},
+                affinity);
+  }
   QueryResponse Query(VertexId s, VertexId v, int64_t deadline_ms = 0,
-                      uint64_t affinity = 0);
+                      uint64_t affinity = 0) {
+    return ReadRerouted({.verb = Verb::kQueryVertex, .source = s,
+                         .vertex = v, .deadline_ms = deadline_ms},
+                        affinity);
+  }
   QueryResponse TopK(VertexId s, int k, int64_t deadline_ms = 0,
-                     uint64_t affinity = 0);
-
-  MaintResponse AddSource(VertexId s);
-  MaintResponse RemoveSource(VertexId s);
-
-  // --- Estimator requests (routed by TARGET) ----------------------------
-  //
-  // The estimator subsystem (src/estimator/) partitions by TARGET the way
-  // forward serving partitions by source: reverse-push state for target t
-  // lives only on t's ring owner, so pair, hybrid, and reverse-top-k
-  // queries route through OwnerShard(t) — the SOURCE of a pair query
-  // plays no part in placement (every shard's walk index covers every
-  // vertex; see src/estimator/README.md). The blocking forms re-route on
-  // kUnknownSource exactly like Query/TopK: a target mid-migration is
-  // briefly absent from its old owner.
+                     uint64_t affinity = 0) {
+    return ReadRerouted({.verb = Verb::kTopK, .source = s, .k = k,
+                         .deadline_ms = deadline_ms},
+                        affinity);
+  }
+  MaintResponse AddSource(VertexId s) {
+    return Feed({.verb = Verb::kAddSource, .source = s});
+  }
+  MaintResponse RemoveSource(VertexId s) {
+    return Feed({.verb = Verb::kRemoveSource, .source = s});
+  }
 
   std::future<QueryResponse> QueryPairAsync(VertexId s, VertexId t,
-                                            int64_t deadline_ms = 0);
+                                            int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kQueryPair, .source = s, .target = t,
+                 .deadline_ms = deadline_ms});
+  }
   std::future<QueryResponse> HybridPairAsync(VertexId s, VertexId t,
-                                             int64_t deadline_ms = 0);
+                                             int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kHybridQuery, .source = s, .target = t,
+                 .deadline_ms = deadline_ms});
+  }
   std::future<QueryResponse> ReverseTopKAsync(VertexId t, int k,
-                                              int64_t deadline_ms = 0);
-  QueryResponse QueryPair(VertexId s, VertexId t, int64_t deadline_ms = 0);
-  QueryResponse HybridPair(VertexId s, VertexId t, int64_t deadline_ms = 0);
-  QueryResponse ReverseTopK(VertexId t, int k, int64_t deadline_ms = 0);
-
-  /// Registers target `t` on its owning slot (kRejected when the fleet
-  /// runs without the estimator).
-  MaintResponse AddTarget(VertexId t);
-  MaintResponse RemoveTarget(VertexId t);
+                                              int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kReverseTopK, .target = t, .k = k,
+                 .deadline_ms = deadline_ms});
+  }
+  QueryResponse QueryPair(VertexId s, VertexId t, int64_t deadline_ms = 0) {
+    return ReadRerouted({.verb = Verb::kQueryPair, .source = s, .target = t,
+                         .deadline_ms = deadline_ms});
+  }
+  QueryResponse HybridPair(VertexId s, VertexId t, int64_t deadline_ms = 0) {
+    return ReadRerouted({.verb = Verb::kHybridQuery, .source = s,
+                         .target = t, .deadline_ms = deadline_ms});
+  }
+  QueryResponse ReverseTopK(VertexId t, int k, int64_t deadline_ms = 0) {
+    return ReadRerouted({.verb = Verb::kReverseTopK, .target = t, .k = k,
+                         .deadline_ms = deadline_ms});
+  }
+  /// kRejected when the fleet runs without the estimator.
+  MaintResponse AddTarget(VertexId t) {
+    return Feed({.verb = Verb::kAddTarget, .target = t});
+  }
+  MaintResponse RemoveTarget(VertexId t) {
+    return Feed({.verb = Verb::kRemoveTarget, .target = t});
+  }
   /// Union of every slot's registered targets.
   std::vector<VertexId> Targets() const;
   bool HasTarget(VertexId t) const;
@@ -403,6 +439,18 @@ class ShardedPprService {
   Shard* FindShard(int shard_id) const;
   /// mu_ held (any mode). Null when the ring is empty.
   Shard* OwnerShard(VertexId s) const;
+  /// mu_ held (any mode): the slot owning `request`'s routing key, or
+  /// null when the router is not running (or has no slot).
+  Shard* RouteLocked(const Request& request) const;
+  /// A read on its owning slot; the answer is gathered outside the
+  /// routing lock.
+  std::future<QueryResponse> Read(const Request& request,
+                                  uint64_t affinity = 0);
+  /// Read, re-routed while it answers kUnknownSource (up to
+  /// reroute_retry_limit times).
+  QueryResponse ReadRerouted(const Request& request, uint64_t affinity = 0);
+  /// An admin op on its owning slot, consumed under the shared lock.
+  MaintResponse Feed(const Request& request);
   /// mu_ held exclusively: waits until every shard's maintenance queue is
   /// drained (update admission is blocked by the exclusive lock itself).
   void QuiesceAllLocked();

@@ -111,93 +111,60 @@ void PprService::Stop() {
 
 // ------------------------------------------------------------ submission
 
-std::future<QueryResponse> PprService::SubmitQuery(QueryRequest request) {
-  std::future<QueryResponse> future = request.promise.get_future();
-  request.enqueue_time = Clock::now();
-  if (!request.has_deadline && options_.default_deadline.count() > 0) {
-    request.deadline = request.enqueue_time + options_.default_deadline;
-    request.has_deadline = true;
+std::future<QueryResponse> PprService::Read(const Request& request) {
+  DPPR_CHECK_MSG(IsRead(request.verb), "not a read verb");
+  QueryRequest query;
+  std::future<QueryResponse> future = query.promise.get_future();
+  if ((request.verb == Verb::kTopK || request.verb == Verb::kReverseTopK) &&
+      request.k < 1) {
+    // A payload violation, not a question: nothing ranks below one.
+    metrics_.RecordQueryFailed();
+    QueryResponse response;
+    response.status = RequestStatus::kRejected;
+    query.promise.set_value(std::move(response));
+    return future;
   }
-  if (!query_queue_.TryPush(std::move(request))) {
+  query.request = request;
+  query.enqueue_time = Clock::now();
+  if (request.deadline_ms > 0) {
+    query.deadline =
+        query.enqueue_time + std::chrono::milliseconds(request.deadline_ms);
+    query.has_deadline = true;
+  } else if (options_.default_deadline.count() > 0) {
+    query.deadline = query.enqueue_time + options_.default_deadline;
+    query.has_deadline = true;
+  }
+  if (!query_queue_.TryPush(std::move(query))) {
     // Admission control: a refused request is answered immediately (the
-    // TryPush contract leaves `request` — and its promise — intact).
+    // TryPush contract leaves `query` — and its promise — intact).
     QueryResponse response;
     response.status = query_queue_.closed() ? RequestStatus::kClosed
                                             : RequestStatus::kShedQueueFull;
     if (response.status == RequestStatus::kShedQueueFull) {
       metrics_.RecordQueryShedQueueFull();
     }
-    request.promise.set_value(std::move(response));
+    query.promise.set_value(std::move(response));
   }
   return future;
 }
 
-std::future<QueryResponse> PprService::QueryVertexAsync(VertexId s,
-                                                        VertexId v,
-                                                        int64_t deadline_ms) {
-  QueryRequest request;
-  request.kind = QueryRequest::Kind::kVertex;
-  request.source = s;
-  request.vertex = v;
-  if (deadline_ms > 0) {
-    request.deadline =
-        Clock::now() + std::chrono::milliseconds(deadline_ms);
-    request.has_deadline = true;
+std::future<std::vector<QueryResponse>> PprService::MultiSourceAsync(
+    std::vector<VertexId> sources, VertexId v, int64_t deadline_ms) {
+  // Submit everything now (so the requests queue concurrently); defer
+  // only the gather to the caller's .get().
+  std::vector<std::future<QueryResponse>> futures;
+  futures.reserve(sources.size());
+  for (VertexId s : sources) {
+    futures.push_back(QueryVertexAsync(s, v, deadline_ms));
   }
-  return SubmitQuery(std::move(request));
-}
-
-std::future<QueryResponse> PprService::TopKAsync(VertexId s, int k,
-                                                 int64_t deadline_ms) {
-  QueryRequest request;
-  request.kind = QueryRequest::Kind::kTopK;
-  request.source = s;
-  request.k = k;
-  if (deadline_ms > 0) {
-    request.deadline =
-        Clock::now() + std::chrono::milliseconds(deadline_ms);
-    request.has_deadline = true;
-  }
-  return SubmitQuery(std::move(request));
-}
-
-std::future<QueryResponse> PprService::QueryPairAsync(VertexId s, VertexId t,
-                                                      int64_t deadline_ms) {
-  QueryRequest request;
-  request.kind = QueryRequest::Kind::kPair;
-  request.source = s;
-  request.target = t;
-  if (deadline_ms > 0) {
-    request.deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-    request.has_deadline = true;
-  }
-  return SubmitQuery(std::move(request));
-}
-
-std::future<QueryResponse> PprService::HybridPairAsync(VertexId s, VertexId t,
-                                                       int64_t deadline_ms) {
-  QueryRequest request;
-  request.kind = QueryRequest::Kind::kHybridPair;
-  request.source = s;
-  request.target = t;
-  if (deadline_ms > 0) {
-    request.deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-    request.has_deadline = true;
-  }
-  return SubmitQuery(std::move(request));
-}
-
-std::future<QueryResponse> PprService::ReverseTopKAsync(VertexId t, int k,
-                                                        int64_t deadline_ms) {
-  QueryRequest request;
-  request.kind = QueryRequest::Kind::kReverseTopK;
-  request.target = t;
-  request.k = k;
-  if (deadline_ms > 0) {
-    request.deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-    request.has_deadline = true;
-  }
-  return SubmitQuery(std::move(request));
+  return std::async(
+      std::launch::deferred,
+      [futures = std::move(futures)]() mutable {
+        std::vector<QueryResponse> responses;
+        responses.reserve(futures.size());
+        for (auto& future : futures) responses.push_back(future.get());
+        return responses;
+      });
 }
 
 std::future<MaintResponse> PprService::SubmitMaint(MaintRequest request) {
@@ -216,45 +183,36 @@ std::future<MaintResponse> PprService::SubmitMaint(MaintRequest request) {
   return future;
 }
 
-std::future<MaintResponse> PprService::ApplyUpdatesAsync(UpdateBatch batch) {
-  MaintRequest request;
-  request.kind = MaintRequest::Kind::kUpdates;
-  request.batch = std::move(batch);
-  return SubmitMaint(std::move(request));
-}
-
-std::future<MaintResponse> PprService::AddSourceAsync(VertexId s) {
-  MaintRequest request;
-  request.kind = MaintRequest::Kind::kAddSource;
-  request.source = s;
-  return SubmitMaint(std::move(request));
-}
-
-std::future<MaintResponse> PprService::RemoveSourceAsync(VertexId s) {
-  MaintRequest request;
-  request.kind = MaintRequest::Kind::kRemoveSource;
-  request.source = s;
-  return SubmitMaint(std::move(request));
-}
-
-std::future<MaintResponse> PprService::AddTargetAsync(VertexId t) {
-  MaintRequest request;
-  request.kind = MaintRequest::Kind::kAddTarget;
-  request.source = t;
-  return SubmitMaint(std::move(request));
-}
-
-std::future<MaintResponse> PprService::RemoveTargetAsync(VertexId t) {
-  MaintRequest request;
-  request.kind = MaintRequest::Kind::kRemoveTarget;
-  request.source = t;
-  return SubmitMaint(std::move(request));
-}
-
-std::future<MaintResponse> PprService::QuiesceAsync() {
-  MaintRequest request;
-  request.kind = MaintRequest::Kind::kBarrier;
-  return SubmitMaint(std::move(request));
+std::future<MaintResponse> PprService::Feed(Request request) {
+  using Kind = MaintRequest::Kind;
+  MaintRequest maint;
+  maint.source = request.source;
+  switch (request.verb) {
+    case Verb::kApplyUpdates:
+      maint.kind = Kind::kUpdates;
+      maint.batch = std::move(request.batch);
+      break;
+    case Verb::kQuiesce:
+      maint.kind = Kind::kBarrier;
+      break;
+    case Verb::kAddSource:
+      maint.kind = Kind::kAddSource;
+      break;
+    case Verb::kRemoveSource:
+      maint.kind = Kind::kRemoveSource;
+      break;
+    case Verb::kAddTarget:
+      maint.kind = Kind::kAddTarget;
+      maint.source = request.target;
+      break;
+    case Verb::kRemoveTarget:
+      maint.kind = Kind::kRemoveTarget;
+      maint.source = request.target;
+      break;
+    default:
+      DPPR_CHECK_MSG(false, "not a feed verb");
+  }
+  return SubmitMaint(std::move(maint));
 }
 
 std::future<MaintResponse> PprService::ExtractSourceAsync(
@@ -285,14 +243,6 @@ std::future<MaintResponse> PprService::InjectSourceAsync(ExportedSource in) {
   return SubmitMaint(std::move(request));
 }
 
-QueryResponse PprService::Query(VertexId s, VertexId v, int64_t deadline_ms) {
-  return QueryVertexAsync(s, v, deadline_ms).get();
-}
-
-QueryResponse PprService::TopK(VertexId s, int k, int64_t deadline_ms) {
-  return TopKAsync(s, k, deadline_ms).get();
-}
-
 // --------------------------------------------------------- query workers
 
 void PprService::WorkerLoop() {
@@ -317,13 +267,13 @@ void PprService::WorkerLoop() {
   }
 }
 
-SourceReadResult PprService::ReadIndex(const QueryRequest& request) const {
-  return request.kind == QueryRequest::Kind::kVertex
+SourceReadResult PprService::ReadIndex(const Request& request) const {
+  return request.verb == Verb::kQueryVertex
              ? index_->QueryVertexForSource(request.source, request.vertex)
              : index_->TopKForSource(request.source, request.k);
 }
 
-QueryResponse PprService::ExecuteEstimatorQuery(const QueryRequest& request) {
+QueryResponse PprService::ExecuteEstimatorQuery(const Request& request) {
   QueryResponse response;
   response.during_maintenance =
       in_maintenance_.load(std::memory_order_acquire);
@@ -331,7 +281,7 @@ QueryResponse PprService::ExecuteEstimatorQuery(const QueryRequest& request) {
     response.status = RequestStatus::kRejected;
     return response;
   }
-  if (request.kind == QueryRequest::Kind::kReverseTopK) {
+  if (request.verb == Verb::kReverseTopK) {
     ReverseTopKResult read = estimator_->ReverseTopK(request.target,
                                                      request.k);
     // kUnknownSource doubles as "unknown target": the router's reroute
@@ -343,7 +293,7 @@ QueryResponse PprService::ExecuteEstimatorQuery(const QueryRequest& request) {
     return response;
   }
   PairResult read =
-      request.kind == QueryRequest::Kind::kHybridPair
+      request.verb == Verb::kHybridQuery
           ? estimator_->HybridPair(request.source, request.target)
           : estimator_->QueryPair(request.source, request.target);
   response.status =
@@ -353,9 +303,9 @@ QueryResponse PprService::ExecuteEstimatorQuery(const QueryRequest& request) {
   return response;
 }
 
-QueryResponse PprService::ExecuteQuery(const QueryRequest& request) {
-  if (request.kind != QueryRequest::Kind::kVertex &&
-      request.kind != QueryRequest::Kind::kTopK) {
+QueryResponse PprService::ExecuteQuery(const QueryRequest& query) {
+  const Request& request = query.request;
+  if (request.verb != Verb::kQueryVertex && request.verb != Verb::kTopK) {
     return ExecuteEstimatorQuery(request);
   }
   SourceReadResult read = ReadIndex(request);
@@ -363,8 +313,8 @@ QueryResponse PprService::ExecuteQuery(const QueryRequest& request) {
       options_.materialize_wait.count() > 0) {
     Clock::time_point wait_until =
         Clock::now() + options_.materialize_wait;
-    if (request.has_deadline) {
-      wait_until = std::min(wait_until, request.deadline);
+    if (query.has_deadline) {
+      wait_until = std::min(wait_until, query.deadline);
     }
     AwaitMaterialization(request.source, wait_until);
     read = ReadIndex(request);

@@ -40,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/query.h"
@@ -47,6 +48,7 @@
 #include "graph/types.h"
 #include "index/ppr_index.h"
 #include "server/metrics.h"
+#include "server/request.h"
 #include "server/request_queue.h"
 
 namespace dppr {
@@ -144,41 +146,72 @@ class PprService {
 
   // --- Submission (any thread). A shed request returns a ready future. --
 
-  /// p[v] ± eps for source `s`. `deadline_ms` 0 = options default.
+  /// Answers one read verb (server/request.h): p[v] +- eps, a certified
+  /// top-k, or an estimator read. `deadline_ms` 0 = options default. A
+  /// top-k `k` below one is answered kRejected without queueing.
+  std::future<QueryResponse> Read(const Request& request);
+  /// Queues one feed or admin verb on the maintenance thread. Update
+  /// batches may be merged with other queued ones into one ApplyBatch;
+  /// kQuiesce is a FIFO barrier (resolves once everything submitted
+  /// before it was processed — with update admission paused by the
+  /// caller, the index is then drained and at rest). Target admin answers
+  /// kRejected when the estimator is disabled.
+  std::future<MaintResponse> Feed(Request request);
+  /// p[v] for each of `sources`: every read is submitted now, the answers
+  /// are gathered in request order when the future is read.
+  std::future<std::vector<QueryResponse>> MultiSourceAsync(
+      std::vector<VertexId> sources, VertexId v, int64_t deadline_ms);
+
+  // Typed builders over Read/Feed.
   std::future<QueryResponse> QueryVertexAsync(VertexId s, VertexId v,
-                                              int64_t deadline_ms = 0);
+                                              int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kQueryVertex, .source = s, .vertex = v,
+                 .deadline_ms = deadline_ms});
+  }
   std::future<QueryResponse> TopKAsync(VertexId s, int k,
-                                       int64_t deadline_ms = 0);
-  /// Edge updates; the maintenance thread may merge several queued
-  /// requests into one ApplyBatch.
-  std::future<MaintResponse> ApplyUpdatesAsync(UpdateBatch batch);
-  std::future<MaintResponse> AddSourceAsync(VertexId s);
-  std::future<MaintResponse> RemoveSourceAsync(VertexId s);
-
-  // --- Estimator reads and target admin (see EstimatorIndex) ------------
-
-  /// pi_s(t) ± eps by reverse push. kRejected when the estimator is
-  /// disabled; kUnknownSource when `t` is not a registered target.
+                                       int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kTopK, .source = s, .k = k,
+                 .deadline_ms = deadline_ms});
+  }
   std::future<QueryResponse> QueryPairAsync(VertexId s, VertexId t,
-                                            int64_t deadline_ms = 0);
-  /// QueryPairAsync + the unbiased walk correction (hybrid estimator).
+                                            int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kQueryPair, .source = s, .target = t,
+                 .deadline_ms = deadline_ms});
+  }
   std::future<QueryResponse> HybridPairAsync(VertexId s, VertexId t,
-                                             int64_t deadline_ms = 0);
-  /// The k sources with the highest PPR *into* target `t`.
+                                             int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kHybridQuery, .source = s, .target = t,
+                 .deadline_ms = deadline_ms});
+  }
   std::future<QueryResponse> ReverseTopKAsync(VertexId t, int k,
-                                              int64_t deadline_ms = 0);
-  /// Registers / drops a reverse-push target (maintenance-thread op,
-  /// mirroring AddSourceAsync). kRejected when the estimator is disabled.
-  std::future<MaintResponse> AddTargetAsync(VertexId t);
-  std::future<MaintResponse> RemoveTargetAsync(VertexId t);
+                                              int64_t deadline_ms = 0) {
+    return Read({.verb = Verb::kReverseTopK, .target = t, .k = k,
+                 .deadline_ms = deadline_ms});
+  }
+  QueryResponse Query(VertexId s, VertexId v, int64_t deadline_ms = 0) {
+    return QueryVertexAsync(s, v, deadline_ms).get();
+  }
+  QueryResponse TopK(VertexId s, int k, int64_t deadline_ms = 0) {
+    return TopKAsync(s, k, deadline_ms).get();
+  }
+  std::future<MaintResponse> ApplyUpdatesAsync(UpdateBatch batch) {
+    return Feed({.verb = Verb::kApplyUpdates, .batch = std::move(batch)});
+  }
+  std::future<MaintResponse> AddSourceAsync(VertexId s) {
+    return Feed({.verb = Verb::kAddSource, .source = s});
+  }
+  std::future<MaintResponse> RemoveSourceAsync(VertexId s) {
+    return Feed({.verb = Verb::kRemoveSource, .source = s});
+  }
+  std::future<MaintResponse> AddTargetAsync(VertexId t) {
+    return Feed({.verb = Verb::kAddTarget, .target = t});
+  }
+  std::future<MaintResponse> RemoveTargetAsync(VertexId t) {
+    return Feed({.verb = Verb::kRemoveTarget, .target = t});
+  }
+  MaintResponse Quiesce() { return Feed({.verb = Verb::kQuiesce}).get(); }
 
   // --- Shard-facing hooks (the sharded router drives these) -------------
-
-  /// FIFO barrier through the maintenance queue: the future resolves once
-  /// every maintenance request submitted before it has been processed.
-  /// With update admission paused by the caller, a resolved barrier means
-  /// the shard's index is drained and at rest.
-  std::future<MaintResponse> QuiesceAsync();
 
   /// Lifts source `s` out of this shard's index (see
   /// PprIndex::ExportSource). `out` must stay alive until the future
@@ -198,22 +231,9 @@ class PprService {
   /// PprIndex::ImportSource). kRejected if the source already exists.
   std::future<MaintResponse> InjectSourceAsync(ExportedSource in);
 
-  /// Blocking conveniences for the hooks above.
-  MaintResponse Quiesce() { return QuiesceAsync().get(); }
-
-  // Blocking conveniences.
-  QueryResponse Query(VertexId s, VertexId v, int64_t deadline_ms = 0);
-  QueryResponse TopK(VertexId s, int k, int64_t deadline_ms = 0);
-
   // --- Introspection (any thread) ---------------------------------------
 
   MetricsReport Metrics() const { return metrics_.Snapshot(); }
-  /// Pools this service's exact latency samples into the caller's
-  /// histograms (see ServiceMetrics::MergeLatenciesInto).
-  void MergeLatenciesInto(Histogram* query_latency_ms,
-                          Histogram* batch_latency_ms) const {
-    metrics_.MergeLatenciesInto(query_latency_ms, batch_latency_ms);
-  }
   /// Counters and latency samples from ONE observation (see
   /// ServiceMetrics::SnapshotWithLatencies) — what shard aggregators use
   /// so a combined report never pairs counters with samples from a
@@ -243,13 +263,7 @@ class PprService {
   using Clock = std::chrono::steady_clock;
 
   struct QueryRequest {
-    enum class Kind { kVertex, kTopK, kPair, kReverseTopK, kHybridPair };
-    Kind kind = Kind::kVertex;
-    VertexId source = kInvalidVertex;
-    VertexId vertex = kInvalidVertex;
-    /// Estimator kinds: the reverse-push target.
-    VertexId target = kInvalidVertex;
-    int k = 0;
+    Request request;
     Clock::time_point enqueue_time;
     Clock::time_point deadline;
     bool has_deadline = false;
@@ -279,7 +293,6 @@ class PprService {
     std::promise<MaintResponse> promise;
   };
 
-  std::future<QueryResponse> SubmitQuery(QueryRequest request);
   std::future<MaintResponse> SubmitMaint(MaintRequest request);
   void WorkerLoop();
   void MaintenanceLoop();
@@ -291,11 +304,11 @@ class PprService {
   /// attached. Call only after the op succeeded (failed admin ops must
   /// not replay).
   void LogAdmin(storage::LogRecordType type, VertexId s);
-  QueryResponse ExecuteQuery(const QueryRequest& request);
-  /// Answers the estimator query kinds (worker threads; reads under the
+  QueryResponse ExecuteQuery(const QueryRequest& query);
+  /// Answers the estimator reads (worker threads; reads under the
   /// EstimatorIndex shared lock).
-  QueryResponse ExecuteEstimatorQuery(const QueryRequest& request);
-  SourceReadResult ReadIndex(const QueryRequest& request) const;
+  QueryResponse ExecuteEstimatorQuery(const Request& request);
+  SourceReadResult ReadIndex(const Request& request) const;
   /// Files a fire-and-forget materialization request and waits (bounded)
   /// for the maintenance thread to rebuild `s`.
   void AwaitMaterialization(VertexId s, Clock::time_point wait_until);

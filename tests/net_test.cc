@@ -35,6 +35,7 @@
 #include <csignal>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -283,6 +284,188 @@ TEST(NetWireTest, CountPrefixBombsAreRefusedWithoutAllocating) {
   EXPECT_TRUE(net::DecodeMultiSourceResponse(multi_bomb, &overall,
                                              &responses)
                   .IsCorruption());
+}
+
+/// Lower-case hex of `bytes`, two digits per byte.
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 0xF]);
+  }
+  return out;
+}
+
+/// What `encode` appends to an empty string.
+template <typename Encode>
+std::string Encoded(const Encode& encode) {
+  std::string out;
+  encode(&out);
+  return out;
+}
+
+TEST(NetWireTest, PerVerbPayloadBytesAreFrozen) {
+  // One fixed input per verb and per response shape, compared against
+  // the bytes frame v4 has always carried: a change to the codecs or to
+  // what feeds them must not move a byte.
+  const auto source = [](VertexId id) {
+    return Encoded([id](std::string* o) { net::EncodeSourceRequest(id, o); });
+  };
+  const auto pair = [] {
+    return Encoded([](std::string* o) {
+      net::EncodePairRequest({3, 8, 250}, o);
+    });
+  };
+  ExportedSource unmaterialized;
+  unmaterialized.source = 7;
+  unmaterialized.epoch = 3;
+  std::string blob;
+  ASSERT_TRUE(EncodeMigrationBlob(unmaterialized, &blob).ok());
+  struct Golden {
+    Verb verb;
+    std::string payload;
+    const char* hex;
+  };
+  const std::vector<Golden> requests = {
+      {Verb::kQueryVertex, Encoded([](std::string* o) {
+         net::EncodeQueryVertexRequest({7, 42, 250}, o);
+       }),
+       "070000002a000000fa00000000000000"},
+      {Verb::kTopK, Encoded([](std::string* o) {
+         net::EncodeTopKRequest({7, 5, 250}, o);
+       }),
+       "0700000005000000fa00000000000000"},
+      {Verb::kMultiSource, Encoded([](std::string* o) {
+         net::EncodeMultiSourceRequest({{3, 1, 4}, 9, 250}, o);
+       }),
+       "0300000003000000010000000400000009000000fa00000000000000"},
+      {Verb::kApplyUpdates, Encoded([](std::string* o) {
+         net::EncodeUpdateBatch(
+             {EdgeUpdate::Insert(1, 2), EdgeUpdate::Delete(3, 4)}, o);
+       }),
+       "02000000010000000200000001030000000400000000"},
+      {Verb::kAddSource, source(7), "07000000"},
+      {Verb::kRemoveSource, source(7), "07000000"},
+      {Verb::kQuiesce, "", ""},
+      {Verb::kExtractSource, source(7), "07000000"},
+      {Verb::kInjectSource, blob,
+       "474d504401000000070000000300000000000000000000000000000000338de1"
+       "1e6a3667ad"},
+      {Verb::kStats, Encoded([](std::string* o) {
+         net::EncodeStatsRequest(true, o);
+       }),
+       "01"},
+      {Verb::kListSources, "", ""},
+      {Verb::kQueryPair, pair(), "0300000008000000fa00000000000000"},
+      {Verb::kReverseTopK, Encoded([](std::string* o) {
+         net::EncodeTopKRequest({8, 5, 250}, o);
+       }),
+       "0800000005000000fa00000000000000"},
+      {Verb::kHybridQuery, pair(), "0300000008000000fa00000000000000"},
+      {Verb::kAddTarget, source(8), "08000000"},
+      {Verb::kRemoveTarget, source(8), "08000000"},
+      {Verb::kListTargets, "", ""},
+  };
+  ASSERT_EQ(requests.size(), 17u);
+  for (const Golden& golden : requests) {
+    EXPECT_EQ(Hex(golden.payload), golden.hex)
+        << net::VerbName(golden.verb) << " request";
+  }
+  // The envelope adds no byte: the same inputs as Requests encode to the
+  // same payloads, and decode back to Requests that do too.
+  const std::vector<Request> enveloped = {
+      {.verb = Verb::kQueryVertex, .source = 7, .vertex = 42,
+       .deadline_ms = 250},
+      {.verb = Verb::kTopK, .source = 7, .k = 5, .deadline_ms = 250},
+      {.verb = Verb::kApplyUpdates,
+       .batch = {EdgeUpdate::Insert(1, 2), EdgeUpdate::Delete(3, 4)}},
+      {.verb = Verb::kAddSource, .source = 7},
+      {.verb = Verb::kRemoveSource, .source = 7},
+      {.verb = Verb::kQuiesce},
+      {.verb = Verb::kQueryPair, .source = 3, .target = 8,
+       .deadline_ms = 250},
+      {.verb = Verb::kReverseTopK, .target = 8, .k = 5, .deadline_ms = 250},
+      {.verb = Verb::kHybridQuery, .source = 3, .target = 8,
+       .deadline_ms = 250},
+      {.verb = Verb::kAddTarget, .target = 8},
+      {.verb = Verb::kRemoveTarget, .target = 8},
+  };
+  ASSERT_EQ(enveloped.size(), std::size(kVerbRules));
+  for (const Request& request : enveloped) {
+    const auto golden =
+        std::find_if(requests.begin(), requests.end(),
+                     [&](const Golden& g) { return g.verb == request.verb; });
+    ASSERT_NE(golden, requests.end());
+    const std::string payload = Encoded(
+        [&](std::string* o) { net::EncodeRequest(request, o); });
+    EXPECT_EQ(Hex(payload), golden->hex) << net::VerbName(request.verb);
+    Request decoded;
+    ASSERT_TRUE(net::DecodeRequest(request.verb, payload, &decoded).ok());
+    EXPECT_EQ(Encoded([&](std::string* o) { net::EncodeRequest(decoded, o); }),
+              payload)
+        << net::VerbName(request.verb);
+  }
+
+  QueryResponse query;
+  query.status = RequestStatus::kOk;
+  query.epoch = 17;
+  query.during_maintenance = true;
+  query.estimate = {0.25, 0.2, 0.3};
+  query.topk.entries = {{5, 0.5}, {2, 0.25}};
+  query.topk.certain_members = 1;
+  QueryResponse unknown;
+  unknown.status = RequestStatus::kUnknownSource;
+  MaintResponse maint;
+  maint.status = RequestStatus::kOk;
+  maint.updates_applied = 2;
+  net::ShardStats stats;
+  stats.num_vertices = 100;
+  stats.num_sources = 4;
+  stats.max_epoch = 42;
+  stats.graph_checksum = 0x0123456789abcdefull;
+  stats.running = 1;
+  stats.report.queries_completed = 12;
+  stats.report.query_p99_ms = 1.5;
+  stats.report.updates_applied = 30;
+  stats.query_latency_samples = {0.5, 1.5};
+  stats.batch_latency_samples = {2.5};
+  const std::vector<std::pair<const char*, std::string>> responses = {
+      {"0011000000000000000100000000"
+       "0000d03f9a9999999999c93f333333333333d33f0200000005000000000000"
+       "000000e03f02000000000000000000d03f01000000",
+       Encoded([&](std::string* o) { net::EncodeQueryResponse(query, o); })},
+      {"0002000000001100000000000000"
+       "01000000000000d03f9a9999999999c93f333333333333d33f020000000500"
+       "0000000000000000e03f02000000000000000000d03f010000000300000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000",
+       Encoded([&](std::string* o) {
+         net::EncodeMultiSourceResponse(RequestStatus::kOk, {query, unknown},
+                                        o);
+       })},
+      {"000200000000000000",
+       Encoded([&](std::string* o) { net::EncodeMaintResponse(maint, o); })},
+      {"000200000000000000626c6f62", Encoded([&](std::string* o) {
+         net::EncodeExtractResponse(maint, "blob", o);
+       })},
+      {"6400000004000000000000002a00000000000000efcdab8967452301010c0000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "000000000000000000000000000000000000000000000000000000f83f000000"
+       "000000000000000000000000001e000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000002000000000000000000e03f000000000000f8"
+       "3f010000000000000000000440",
+       Encoded([&](std::string* o) { net::EncodeShardStats(stats, o); })},
+      {"03000000030000000100000004000000", Encoded([](std::string* o) {
+         net::EncodeSourceList({3, 1, 4}, o);
+       })},
+  };
+  for (const auto& [hex, payload] : responses) {
+    EXPECT_EQ(Hex(payload), hex);
+  }
 }
 
 // -------------------------------------------- serialization hardening
@@ -600,6 +783,41 @@ TEST(PprServerTest, MalformedPeersAreContainedAndCounted) {
               RequestStatus::kOk);
   }
   EXPECT_GT(shard.server.protocol_errors(), 0);
+}
+
+TEST(PprServerTest, TopKOutsideTheVectorIsAnsweredNotFatal) {
+  auto edges = GenerateErdosRenyi(64, 400, 31);
+  IndexOptions iopt;
+  iopt.ppr.eps = 1e-5;
+  ServiceOptions sopt;
+  sopt.num_workers = 2;
+  sopt.estimator.enabled = true;
+  ShardProcess shard(edges, 64, {1}, iopt, sopt);
+  ASSERT_EQ(shard.service.AddTargetAsync(2).get().status, RequestStatus::kOk);
+
+  net::RemoteShardClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", shard.server.port()).ok());
+  ASSERT_EQ(client.TopKAsync(1, 5, 0).get().status, RequestStatus::kOk);
+  // A k below one is a payload violation: answered kRejected, and the
+  // shard keeps serving.
+  for (const int k : {0, -3}) {
+    EXPECT_EQ(client.TopKAsync(1, k, 0).get().status,
+              RequestStatus::kRejected)
+        << "k = " << k;
+    EXPECT_EQ(client.ReverseTopKAsync(2, k, 0).get().status,
+              RequestStatus::kRejected)
+        << "k = " << k;
+  }
+  // A k past the vertex count ranks every vertex.
+  constexpr int kHuge = std::numeric_limits<int32_t>::max();
+  const QueryResponse forward = client.TopKAsync(1, kHuge, 0).get();
+  EXPECT_EQ(forward.status, RequestStatus::kOk);
+  EXPECT_EQ(forward.topk.entries.size(), 64u);
+  const QueryResponse reverse = client.ReverseTopKAsync(2, kHuge, 0).get();
+  EXPECT_EQ(reverse.status, RequestStatus::kOk);
+  EXPECT_EQ(reverse.topk.entries.size(), 64u);
+  EXPECT_EQ(client.QueryVertexAsync(1, 1, 0).get().status,
+            RequestStatus::kOk);
 }
 
 TEST(PprServerTest, BothEndsOfAConnectionTurnNagleOff) {

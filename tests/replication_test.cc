@@ -81,6 +81,11 @@ std::shared_ptr<ReplicaSet> MakeSet(const std::vector<Edge>& edges,
   return set;
 }
 
+/// A point read of p_s[v].
+Request Point(VertexId s, VertexId v) {
+  return {.verb = Verb::kQueryVertex, .source = s, .vertex = v};
+}
+
 // ------------------------------------------------------------ ReplicaSet
 
 TEST(ReplicaSetTest, FailoverPromotesNextLiveStandbyInOrder) {
@@ -89,13 +94,13 @@ TEST(ReplicaSetTest, FailoverPromotesNextLiveStandbyInOrder) {
   ASSERT_EQ(set->NumReplicas(), 3u);
   EXPECT_EQ(set->PrimaryIndex(), 0);
 
-  const QueryResponse before = set->QueryVertexAsync(1, 1, 0).get();
+  const QueryResponse before = set->Read(Point(1, 1)).get();
   ASSERT_EQ(before.status, RequestStatus::kOk);
 
   // Kill the primary: the NEXT reply fails over — same request, answered
   // by the promoted standby, and the caller never sees kUnavailable.
   ASSERT_TRUE(set->ReplicaBackend(0)->Sever());
-  const QueryResponse after = set->QueryVertexAsync(1, 1, 0).get();
+  const QueryResponse after = set->Read(Point(1, 1)).get();
   EXPECT_EQ(after.status, RequestStatus::kOk);
   EXPECT_EQ(after.epoch, before.epoch);
   EXPECT_NEAR(after.estimate.value, before.estimate.value,
@@ -106,7 +111,8 @@ TEST(ReplicaSetTest, FailoverPromotesNextLiveStandbyInOrder) {
 
   // Second failure: promote the last standby.
   ASSERT_TRUE(set->ReplicaBackend(1)->Sever());
-  EXPECT_EQ(set->TopKAsync(2, 3, 0).get().status, RequestStatus::kOk);
+  EXPECT_EQ(set->Read({.verb = Verb::kTopK, .source = 2, .k = 3}).get().status,
+            RequestStatus::kOk);
   EXPECT_EQ(set->PrimaryIndex(), 2);
   EXPECT_EQ(set->failovers(), 2);
   set->Stop();
@@ -120,11 +126,14 @@ TEST(ReplicaSetTest, DoubleFailureAnswersUnavailable) {
   ASSERT_TRUE(set->ReplicaBackend(1)->Sever());
   // Every replica is gone: the slot answers like PR 4's dead remote
   // shard — a status, never a hang.
-  EXPECT_EQ(set->QueryVertexAsync(1, 1, 0).get().status,
+  EXPECT_EQ(set->Read(Point(1, 1)).get().status,
             RequestStatus::kUnavailable);
-  EXPECT_EQ(set->TopKAsync(1, 3, 0).get().status,
+  EXPECT_EQ(set->Read({.verb = Verb::kTopK, .source = 1, .k = 3}).get().status,
             RequestStatus::kUnavailable);
-  EXPECT_EQ(set->ApplyUpdatesAsync({EdgeUpdate::Insert(5, 6)}).get().status,
+  EXPECT_EQ(set->Feed({.verb = Verb::kApplyUpdates,
+                       .batch = {EdgeUpdate::Insert(5, 6)}})
+                .get()
+                .status,
             RequestStatus::kUnavailable);
   EXPECT_TRUE(set->Sources().empty());
   set->Stop();
@@ -142,9 +151,11 @@ TEST(ReplicaSetTest, StandbyIsNeverBehindAnEpochThePrimaryServed) {
     batch.push_back(EdgeUpdate::Insert(
         static_cast<VertexId>(rng() % 64),
         static_cast<VertexId>(rng() % 64)));
-    ASSERT_EQ(set->ApplyUpdatesAsync(batch).get().status,
+    ASSERT_EQ(set->Feed({.verb = Verb::kApplyUpdates, .batch = batch})
+                  .get()
+                  .status,
               RequestStatus::kOk);
-    const QueryResponse served = set->QueryVertexAsync(1, 1, 0).get();
+    const QueryResponse served = set->Read(Point(1, 1)).get();
     ASSERT_EQ(served.status, RequestStatus::kOk);
     highest = std::max(highest, served.epoch);
   }
@@ -152,7 +163,7 @@ TEST(ReplicaSetTest, StandbyIsNeverBehindAnEpochThePrimaryServed) {
   // Kill the primary: the standby received every feed op BEFORE the
   // primary did, so its epoch can only be >= anything a client saw.
   ASSERT_TRUE(set->ReplicaBackend(0)->Sever());
-  const QueryResponse promoted = set->QueryVertexAsync(1, 1, 0).get();
+  const QueryResponse promoted = set->Read(Point(1, 1)).get();
   ASSERT_EQ(promoted.status, RequestStatus::kOk);
   EXPECT_GE(promoted.epoch, highest)
       << "a promoted standby must never regress an epoch";
@@ -167,23 +178,29 @@ TEST(ReplicaSetTest, StandbyResyncAfterDrift) {
   // Inject drift behind the set's back: the standby loses source 2 and
   // gains source 9 (as if it had joined against a different hub set).
   ShardBackend* standby = set->ReplicaBackend(1);
-  ASSERT_EQ(standby->RemoveSourceAsync(2).get().status, RequestStatus::kOk);
-  ASSERT_EQ(standby->AddSourceAsync(9).get().status, RequestStatus::kOk);
+  ASSERT_EQ(standby->Feed({.verb = Verb::kRemoveSource, .source = 2})
+                .get()
+                .status,
+            RequestStatus::kOk);
+  ASSERT_EQ(standby->Feed({.verb = Verb::kAddSource, .source = 9})
+                .get()
+                .status,
+            RequestStatus::kOk);
   EXPECT_FALSE(set->SourceSetsAgree());
 
   // Anti-entropy: the missing source comes back as a blob at the
   // PRIMARY's epoch, the extra one is dropped.
-  const uint64_t primary_epoch = set->QueryVertexAsync(2, 2, 0).get().epoch;
+  const uint64_t primary_epoch = set->Read(Point(2, 2)).get().epoch;
   EXPECT_GE(set->SyncAllStandbys(), 1);
   EXPECT_TRUE(set->SourceSetsAgree());
   EXPECT_GT(set->sync_bytes(), 0);
 
   ASSERT_TRUE(set->ReplicaBackend(0)->Sever());
-  const QueryResponse resynced = set->QueryVertexAsync(2, 2, 0).get();
+  const QueryResponse resynced = set->Read(Point(2, 2)).get();
   EXPECT_EQ(resynced.status, RequestStatus::kOk);
   EXPECT_EQ(resynced.epoch, primary_epoch)
       << "a synced source continues the primary's epoch sequence";
-  EXPECT_EQ(set->QueryVertexAsync(9, 9, 0).get().status,
+  EXPECT_EQ(set->Read(Point(9, 9)).get().status,
             RequestStatus::kUnknownSource)
       << "the drifted extra source must be gone";
   set->Stop();
@@ -204,7 +221,7 @@ TEST(ReplicaSetTest, DeadStandbyIsMarkedDeadBySyncNotLivelocked) {
   EXPECT_TRUE(set->SourceSetsAgree())
       << "a dead standby must not read as drift";
   EXPECT_EQ(set->PrimaryIndex(), 0) << "the primary is unaffected";
-  EXPECT_EQ(set->QueryVertexAsync(1, 1, 0).get().status,
+  EXPECT_EQ(set->Read(Point(1, 1)).get().status,
             RequestStatus::kOk);
   set->Stop();
 }
@@ -225,9 +242,9 @@ TEST(ReplicaSetTest, MigrationBlobsSpanTheWholeGroup) {
   ASSERT_EQ(taker->InjectBlob(blob).status, RequestStatus::kOk);
   EXPECT_TRUE(taker->HasSource(4));
   EXPECT_TRUE(taker->ReplicaBackend(1)->HasSource(4));
-  const uint64_t epoch = taker->QueryVertexAsync(4, 4, 0).get().epoch;
+  const uint64_t epoch = taker->Read(Point(4, 4)).get().epoch;
   ASSERT_TRUE(taker->ReplicaBackend(0)->Sever());
-  EXPECT_EQ(taker->QueryVertexAsync(4, 4, 0).get().epoch, epoch)
+  EXPECT_EQ(taker->Read(Point(4, 4)).get().epoch, epoch)
       << "standby holds the injected source at the same epoch";
   donor->Stop();
   taker->Stop();
@@ -249,7 +266,7 @@ TEST(ReplicaSetTest, RoundRobinSpreadsReadsAndAffinityPins) {
   // primary reads.
   constexpr int64_t kReads = 30;
   for (int64_t i = 0; i < kReads; ++i) {
-    ASSERT_EQ(set->QueryVertexAsync(1, 1, 0).get().status,
+    ASSERT_EQ(set->Read(Point(1, 1)).get().status,
               RequestStatus::kOk);
   }
   std::vector<int64_t> reads = set->ReadsPerReplica();
@@ -267,7 +284,7 @@ TEST(ReplicaSetTest, RoundRobinSpreadsReadsAndAffinityPins) {
   // pins index 2.
   const int64_t pinned_before = set->ReadsPerReplica()[2];
   for (int i = 0; i < 12; ++i) {
-    ASSERT_EQ(set->QueryVertexAsync(2, 2, 0, /*affinity=*/5).get().status,
+    ASSERT_EQ(set->Read(Point(2, 2), /*affinity=*/5).get().status,
               RequestStatus::kOk);
   }
   EXPECT_EQ(set->ReadsPerReplica()[2], pinned_before + 12);
@@ -275,7 +292,7 @@ TEST(ReplicaSetTest, RoundRobinSpreadsReadsAndAffinityPins) {
   // A pinned session whose replica died follows the slot to the primary
   // — and a dead pinned STANDBY is not a failover.
   ASSERT_TRUE(set->ReplicaBackend(2)->Sever());
-  EXPECT_EQ(set->QueryVertexAsync(2, 2, 0, /*affinity=*/5).get().status,
+  EXPECT_EQ(set->Read(Point(2, 2), /*affinity=*/5).get().status,
             RequestStatus::kOk);
   EXPECT_EQ(set->failovers(), 0);
   set->Stop();
@@ -284,7 +301,7 @@ TEST(ReplicaSetTest, RoundRobinSpreadsReadsAndAffinityPins) {
   // replicated slot counts every read on the primary, none on a standby.
   auto primary_only = MakeSet(edges, 64, {1}, 2);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(primary_only->QueryVertexAsync(1, 1, 0).get().status,
+    ASSERT_EQ(primary_only->Read(Point(1, 1)).get().status,
               RequestStatus::kOk);
   }
   EXPECT_EQ(primary_only->primary_reads(), 5);
@@ -299,24 +316,112 @@ TEST(ReplicaSetTest, ManualPromoteAndRemoveReplica) {
   auto set = MakeSet(edges, 48, {1}, 3);
 
   // Manual promotion (quiesced: nothing in flight).
-  ASSERT_EQ(set->QuiesceAsync().get().status, RequestStatus::kOk);
+  ASSERT_EQ(set->Feed({.verb = Verb::kQuiesce}).get().status,
+            RequestStatus::kOk);
   EXPECT_TRUE(set->Promote(2));
   EXPECT_EQ(set->PrimaryIndex(), 2);
   EXPECT_EQ(set->failovers(), 0) << "a voluntary promote is not a failover";
-  EXPECT_EQ(set->QueryVertexAsync(1, 1, 0).get().status,
+  EXPECT_EQ(set->Read(Point(1, 1)).get().status,
             RequestStatus::kOk);
 
   // Removing the primary hands off to the next live replica first.
   EXPECT_TRUE(set->RemoveReplica(2));
   EXPECT_EQ(set->NumReplicas(), 2u);
-  EXPECT_EQ(set->QueryVertexAsync(1, 1, 0).get().status,
+  EXPECT_EQ(set->Read(Point(1, 1)).get().status,
             RequestStatus::kOk);
 
   EXPECT_TRUE(set->RemoveReplica(1));
   EXPECT_FALSE(set->RemoveReplica(0)) << "the last replica is refused";
-  EXPECT_EQ(set->QueryVertexAsync(1, 1, 0).get().status,
+  EXPECT_EQ(set->Read(Point(1, 1)).get().status,
             RequestStatus::kOk);
   set->Stop();
+}
+
+TEST(ReplicaSetTest, EstimatorReadsStayOnThePrimaryAndFailOver) {
+  constexpr double kEstimatorEps = 1e-5;
+  auto edges = GenerateErdosRenyi(64, 400, 19);
+  ServiceOptions service_options = TestServiceOptions();
+  service_options.estimator.enabled = true;
+  service_options.estimator.eps = kEstimatorEps;
+  ReplicaSetOptions set_options;
+  set_options.read_policy = ReadPolicy::kRoundRobinLive;
+  const auto make_set = [&] {
+    auto set = std::make_shared<ReplicaSet>(set_options);
+    for (int r = 0; r < 2; ++r) {
+      set->AddReplica(std::make_unique<LocalShardBackend>(
+          edges, 64, std::vector<VertexId>{1, 2}, TestIndexOptions(),
+          service_options));
+    }
+    set->Start();
+    for (const VertexId t : {3, 4}) {
+      EXPECT_EQ(set->Feed({.verb = Verb::kAddTarget, .target = t})
+                    .get()
+                    .status,
+                RequestStatus::kOk);
+    }
+    return set;
+  };
+  // Pair, hybrid and reverse top-k reads in turn, over both targets.
+  const auto read = [](ReplicaSet* set, int i) {
+    const VertexId s = static_cast<VertexId>((7 * i) % 64);
+    const VertexId t = 3 + i % 2;
+    switch (i % 3) {
+      case 0:
+        return set->Read({.verb = Verb::kQueryPair, .source = s, .target = t})
+            .get();
+      case 1:
+        return set
+            ->Read({.verb = Verb::kHybridQuery, .source = s, .target = t})
+            .get();
+      default:
+        return set->Read({.verb = Verb::kReverseTopK, .target = t, .k = 5})
+            .get();
+    }
+  };
+  constexpr int kReads = 30;
+
+  // Round robin spreads point and top-k reads only: with the standby
+  // severed, estimator reads never meet it, so it stays live.
+  auto set = make_set();
+  ASSERT_TRUE(set->ReplicaBackend(1)->Sever());
+  for (int i = 0; i < kReads; ++i) {
+    EXPECT_EQ(read(set.get(), i).status, RequestStatus::kOk) << "read " << i;
+  }
+  EXPECT_TRUE(set->IsLive(1)) << "an estimator read reached the standby";
+  // Control: two point reads rotate onto the standby and find it dead.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(set->Read(Point(1, 1)).get().status,
+              RequestStatus::kOk);
+  }
+  EXPECT_FALSE(set->IsLive(1));
+  EXPECT_EQ(set->failovers(), 0);
+  set->Stop();
+
+  // With the primary severed instead, the same reads fail over to the
+  // standby, which answers them as the primary did.
+  auto fresh = make_set();
+  std::vector<QueryResponse> before;
+  for (int i = 0; i < kReads; ++i) {
+    before.push_back(read(fresh.get(), i));
+    ASSERT_EQ(before.back().status, RequestStatus::kOk) << "read " << i;
+  }
+  ASSERT_TRUE(fresh->ReplicaBackend(0)->Sever());
+  for (int i = 0; i < kReads; ++i) {
+    const QueryResponse after = read(fresh.get(), i);
+    ASSERT_EQ(after.status, RequestStatus::kOk) << "read " << i;
+    EXPECT_NEAR(after.estimate.value, before[i].estimate.value,
+                2 * kEstimatorEps)
+        << "read " << i;
+    ASSERT_EQ(after.topk.entries.size(), before[i].topk.entries.size());
+    for (size_t e = 0; e < after.topk.entries.size(); ++e) {
+      EXPECT_NEAR(after.topk.entries[e].score,
+                  before[i].topk.entries[e].score, 2 * kEstimatorEps)
+          << "read " << i << " entry " << e;
+    }
+  }
+  EXPECT_EQ(fresh->failovers(), 1);
+  EXPECT_EQ(fresh->PrimaryIndex(), 1);
+  fresh->Stop();
 }
 
 // ----------------------------------------------------------- with router
@@ -489,7 +594,9 @@ TEST(ReplicationRouterTest, AntiEntropyRepairsDriftedStandby) {
   ShardBackend* standby = router.ReplicaBackendForTesting(slot, 1);
   ASSERT_NE(standby, nullptr);
   const VertexId lost = workload.hubs.front();
-  ASSERT_EQ(standby->RemoveSourceAsync(lost).get().status,
+  ASSERT_EQ(standby->Feed({.verb = Verb::kRemoveSource, .source = lost})
+                .get()
+                .status,
             RequestStatus::kOk);
 
   // The periodic pass must notice and re-sync within a few intervals.

@@ -227,18 +227,27 @@ void RunRecoveryRoundTrip(uint64_t checkpoint_every) {
     live.Start();
     ASSERT_FALSE(live.recovered());
     for (size_t b = 0; b < workload.batches.size(); ++b) {
-      ASSERT_EQ(live.ApplyUpdatesAsync(workload.batches[b]).get().status,
+      ASSERT_EQ(live.Feed({.verb = Verb::kApplyUpdates,
+                           .batch = workload.batches[b]})
+                    .get()
+                    .status,
                 RequestStatus::kOk);
       if (b == 2) {
         // Mid-feed churn: both admin record types must replay.
-        ASSERT_EQ(live.AddSourceAsync(100).get().status,
+        ASSERT_EQ(live.Feed({.verb = Verb::kAddSource, .source = 100})
+                      .get()
+                      .status,
                   RequestStatus::kOk);
-        ASSERT_EQ(live.RemoveSourceAsync(workload.hubs[0]).get().status,
+        ASSERT_EQ(live.Feed({.verb = Verb::kRemoveSource,
+                             .source = workload.hubs[0]})
+                      .get()
+                      .status,
                   RequestStatus::kOk);
       }
     }
     for (VertexId s : live.Sources()) {
-      const QueryResponse top = live.TopKAsync(s, 5, 0).get();
+      const QueryResponse top =
+          live.Read({.verb = Verb::kTopK, .source = s, .k = 5}).get();
       ASSERT_EQ(top.status, RequestStatus::kOk);
       expected.emplace_back(s, SourceView{top.epoch, top.topk.entries});
     }
@@ -259,7 +268,8 @@ void RunRecoveryRoundTrip(uint64_t checkpoint_every) {
   ASSERT_EQ(restarted.NumSources(), expected.size());
   for (const auto& [s, view] : expected) {
     ASSERT_TRUE(restarted.HasSource(s)) << s;
-    const QueryResponse top = restarted.TopKAsync(s, 5, 0).get();
+    const QueryResponse top =
+        restarted.Read({.verb = Verb::kTopK, .source = s, .k = 5}).get();
     ASSERT_EQ(top.status, RequestStatus::kOk);
     EXPECT_EQ(top.epoch, view.epoch)
         << "replay must reproduce the EXACT epoch of source " << s;
@@ -298,7 +308,9 @@ TEST(DurableStoreTest, RecoveryAfterRecoveryIsStable) {
                            TestServiceOptions(), dir.path(), {});
     live.Start();
     for (const UpdateBatch& batch : workload.batches) {
-      ASSERT_EQ(live.ApplyUpdatesAsync(batch).get().status,
+      ASSERT_EQ(live.Feed({.verb = Verb::kApplyUpdates, .batch = batch})
+                    .get()
+                    .status,
                 RequestStatus::kOk);
     }
     live.Stop();
