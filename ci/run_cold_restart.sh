@@ -10,14 +10,16 @@
 #   2. SIGKILL the shard mid-life — no flush, no goodbye. Whatever the
 #      batch log and last checkpoint captured is all that survives.
 #   3. Restart the shard over the SAME data_dir. It must report
-#      RECOVERED with max_epoch >= the frontier the router observed
-#      (WAL-before-apply: recovery lands AT or AHEAD of any answer a
-#      client ever saw, never behind), and --verify_recovery must find
-#      zero mismatches against a from-scratch oracle index.
+#      RECOVERED with max_epoch == seq + 1 (the epoch is 1 + the update
+#      requests the recovered log holds) and max_epoch >= the frontier
+#      the router observed (WAL-before-apply: recovery lands AT or AHEAD
+#      of any answer a client ever saw, never behind), and
+#      --verify_recovery must find zero mismatches against a from-scratch
+#      oracle index.
 #   4. Re-admit the recovered shard into a fresh routing front-end
-#      (--shards=0 --adopt). The adopted sources must answer at their
-#      recovered epochs (the router asserts no epoch regression
-#      internally; we re-check the FLEET line) and survive hub churn.
+#      (--shards=0 --adopt). The adopted sources, and the hubs the churn
+#      adds, must all answer at exactly the recovered epoch (the FLEET
+#      line equals RECOVERED's max_epoch) and survive hub churn.
 #      The adopt run is read-only (--slides=0): re-feeding the seeded
 #      batch stream would replay deletions the recovered graph already
 #      applied, which the graph rejects by design.
@@ -75,8 +77,15 @@ grep '^RECOVERED\|^RECOVERY_VERIFIED' "${WORK}/shard0b.log"
 
 RECOVERED_EPOCH="$(sed -n 's/^RECOVERED .*max_epoch=\([0-9]*\).*/\1/p' \
   "${WORK}/shard0b.log")"
-[ -n "${RECOVERED_EPOCH}" ] \
+RECOVERED_SEQ="$(sed -n 's/^RECOVERED seq=\([0-9]*\).*/\1/p' \
+  "${WORK}/shard0b.log")"
+[ -n "${RECOVERED_EPOCH}" ] && [ -n "${RECOVERED_SEQ}" ] \
   || { echo "FATAL: restart did not recover from disk"; cat "${WORK}/shard0b.log"; exit 1; }
+if [ "${RECOVERED_EPOCH}" -ne $((RECOVERED_SEQ + 1)) ]; then
+  echo "FATAL: recovered epoch ${RECOVERED_EPOCH} is not the recovered" \
+       "feed sequence ${RECOVERED_SEQ} + 1"
+  exit 1
+fi
 if [ "${RECOVERED_EPOCH}" -lt "${FLEET_EPOCH}" ]; then
   echo "FATAL: epoch regression across restart:" \
        "recovered ${RECOVERED_EPOCH} < observed ${FLEET_EPOCH}"
@@ -94,8 +103,9 @@ PORT2="$(awk '/^LISTENING/{print $2}' "${WORK}/shard0b.log")"
   || { echo "FATAL: adopt-mode router failed"; cat "${WORK}/router2.log"; exit 1; }
 grep '^ADOPTED' "${WORK}/router2.log"
 ADOPT_EPOCH="$(awk -F= '/^FLEET max_epoch=/{print $2}' "${WORK}/router2.log")"
-if [ "${ADOPT_EPOCH}" -lt "${FLEET_EPOCH}" ]; then
-  echo "FATAL: adopted fleet regressed: ${ADOPT_EPOCH} < ${FLEET_EPOCH}"
+if [ "${ADOPT_EPOCH:-0}" -ne "${RECOVERED_EPOCH}" ]; then
+  echo "FATAL: the read-only adopted fleet serves max_epoch=${ADOPT_EPOCH}," \
+       "not the recovered ${RECOVERED_EPOCH}"
   exit 1
 fi
 

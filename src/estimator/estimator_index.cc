@@ -9,20 +9,21 @@
 namespace dppr {
 
 EstimatorIndex::EstimatorIndex(const DynamicGraph& snapshot,
-                               const EstimatorOptions& options)
+                               const EstimatorOptions& options,
+                               uint64_t epoch)
     : options_(options),
       graph_(DynamicGraph::FromEdges(snapshot.ToEdgeList(),
                                      snapshot.NumVertices())),
       walks_(WalkIndexOptions{options.alpha, options.walks_per_vertex,
-                              options.seed}) {
+                              options.seed}),
+      epoch_(epoch) {
   DPPR_CHECK(options.alpha > 0.0 && options.alpha < 1.0);
   DPPR_CHECK(options.eps > 0.0);
   DPPR_CHECK(graph_.Checksum() == snapshot.Checksum());
   walks_.Initialize(graph_);
 }
 
-void EstimatorIndex::ApplyBatch(const UpdateBatch& batch,
-                                uint64_t epoch_increment) {
+void EstimatorIndex::ApplyBatch(const UpdateBatch& batch, uint64_t epoch) {
   std::lock_guard maint(maint_mu_);
   // Walk repair needs the intermediate graph after each single update.
   // Repairs are computed while reads go on (only this thread writes the
@@ -36,7 +37,6 @@ void EstimatorIndex::ApplyBatch(const UpdateBatch& batch,
   }
   // Reverse restore is path-independent, so each target catches up once
   // at the end from the set of touched out-rows, under its own lock.
-  const uint64_t epoch = epoch_ + epoch_increment;
   std::unordered_set<VertexId> touched;
   for (const EdgeUpdate& update : batch) touched.insert(update.u);
   for (auto& [t, target] : targets_) {

@@ -22,11 +22,13 @@
 //    RemoveTarget) and guards the replica, which reads never touch;
 //  * mu_ guards the target map, the walk index and the epoch — writers
 //    hold it exclusively only to insert or erase a target, to commit one
-//    update's walk repairs, and to publish the batch's epoch;
+//    update's walk repairs, and to record the batch's epoch;
 //  * each target's own lock guards its push state and epoch while
 //    maintenance restores and pushes that target.
-// A read during a batch sees each target before or after its push, and
-// reports that target's epoch. A hybrid read there may combine walks
+// Epochs are the serving index's: the service hands each batch the
+// index's epoch, and every target is stamped with it once pushed. A read
+// during a batch sees each target before or after its push, and reports
+// that target's epoch. A hybrid read there may combine walks
 // repaired for the batch with a target not yet pushed: its point stays
 // clamped inside the interval of the epoch it reports, and the
 // correction is unbiased again once the batch is done.
@@ -85,17 +87,20 @@ struct ReverseTopKResult {
 class EstimatorIndex {
  public:
   /// Clones `snapshot` as the private replica and samples the walk index.
-  EstimatorIndex(const DynamicGraph& snapshot, const EstimatorOptions& options);
+  /// `epoch` is the serving index's epoch at `snapshot`.
+  EstimatorIndex(const DynamicGraph& snapshot, const EstimatorOptions& options,
+                 uint64_t epoch = 1);
 
   /// Applies `batch` to the replica (one update at a time, repairing
   /// walks per update), then restores + pushes every registered target,
-  /// one at a time. Must mirror the exact update feed the serving index
-  /// applies.
-  void ApplyBatch(const UpdateBatch& batch, uint64_t epoch_increment);
+  /// one at a time, stamping each with `epoch` — the serving index's
+  /// epoch after the same batch. Must mirror the exact update feed the
+  /// serving index applies.
+  void ApplyBatch(const UpdateBatch& batch, uint64_t epoch);
 
   /// Registers a target (idempotent), pushing its state from scratch
-  /// before reads can see it. Returns false if `t` is not a valid vertex
-  /// of the replica.
+  /// before reads can see it, at the last stamped epoch. Returns false if
+  /// `t` is not a valid vertex of the replica.
   bool AddTarget(VertexId t);
   /// Returns false if `t` was not registered.
   bool RemoveTarget(VertexId t);
@@ -131,7 +136,7 @@ class EstimatorIndex {
   WalkIndex walks_;     ///< written under both locks, read under either
   /// Shape written under both locks, read under either.
   std::map<VertexId, std::unique_ptr<Target>> targets_;
-  uint64_t epoch_ = 0;  ///< mirrors the serving index epoch; as targets_
+  uint64_t epoch_;  ///< the last epoch handed in; guarded as targets_
   uint64_t update_seq_ = 0;  ///< guarded by maint_mu_; keys walk RNGs
 };
 

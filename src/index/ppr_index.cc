@@ -14,7 +14,7 @@ namespace dppr {
 namespace internal {
 
 void SnapshotSlot::Publish(const std::vector<double>& estimates,
-                           uint64_t epoch_increment) {
+                           uint64_t epoch) {
   std::shared_ptr<IndexSnapshot> buf;
 #if !DPPR_TSAN_BUILD
   // Double-buffer steady state: the previously displaced snapshot has no
@@ -35,34 +35,21 @@ void SnapshotSlot::Publish(const std::vector<double>& estimates,
     buf = std::make_shared<IndexSnapshot>();
     buf->estimates = estimates;
   }
-  const uint64_t epoch =
-      epoch_.load(std::memory_order_relaxed) + epoch_increment;
   buf->epoch = epoch;
   buf->materialized = true;
   std::shared_ptr<const IndexSnapshot> old = current_.exchange(
       std::shared_ptr<const IndexSnapshot>(std::move(buf)),
       std::memory_order_acq_rel);
   retired_ = std::const_pointer_cast<IndexSnapshot>(old);
-  epoch_.store(epoch, std::memory_order_release);
 }
 
-void SnapshotSlot::Evict() {
-  auto empty = std::make_shared<IndexSnapshot>();
-  empty->epoch = epoch_.load(std::memory_order_relaxed);
-  empty->materialized = false;
-  current_.store(std::shared_ptr<const IndexSnapshot>(std::move(empty)),
-                 std::memory_order_release);
-  retired_.reset();  // the recycle buffer is the memory being reclaimed
-}
-
-void SnapshotSlot::SeedEpoch(uint64_t epoch) {
+void SnapshotSlot::Evict(uint64_t epoch) {
   auto empty = std::make_shared<IndexSnapshot>();
   empty->epoch = epoch;
   empty->materialized = false;
   current_.store(std::shared_ptr<const IndexSnapshot>(std::move(empty)),
                  std::memory_order_release);
-  retired_.reset();
-  epoch_.store(epoch, std::memory_order_release);
+  retired_.reset();  // the recycle buffer is the memory being reclaimed
 }
 
 std::shared_ptr<const IndexSnapshot> SnapshotSlot::Read() const {
@@ -163,7 +150,7 @@ void PprIndex::Initialize() {
   // pushes, many sources initialize concurrently across the pool.
   const int64_t est_work =
       static_cast<int64_t>(graph_->NumVertices()) + graph_->NumEdges();
-  PushAll(live, est_work, /*initialize=*/true, /*epoch_increment=*/1);
+  PushAll(live, est_work, /*initialize=*/true);
   for (SourceSlot* slot : live) {
     last_batch_stats_.sources_total.Add(slot->ppr->last_stats());
   }
@@ -220,9 +207,8 @@ void PprIndex::ReplayJournal(DynamicPpr* ppr) const {
   ppr->NoteCoalescedRestores(coalesced_entries_);
 }
 
-void PprIndex::ApplyBatch(const UpdateBatch& batch,
-                          uint64_t epoch_increment) {
-  DPPR_CHECK(epoch_increment >= 1);
+void PprIndex::ApplyBatch(const UpdateBatch& batch, uint64_t requests) {
+  DPPR_CHECK(requests >= 1);
   WallTimer wall;
   last_batch_stats_.Reset();
   auto table = CurrentTable();
@@ -243,6 +229,7 @@ void PprIndex::ApplyBatch(const UpdateBatch& batch,
     graph_->Apply(update);
     journal_.push_back({update, graph_->OutDegree(update.u)});
   }
+  epoch_.store(Epoch() + requests, std::memory_order_release);
   BuildCoalescePlan();
 
   // Phase 2 — source-parallel restoration. Each source replays the whole
@@ -265,7 +252,7 @@ void PprIndex::ApplyBatch(const UpdateBatch& batch,
   const double avg_degree = graph_->AverageDegree();
   const int64_t est_work = static_cast<int64_t>(
       static_cast<double>(batch.size()) * (1.0 + avg_degree));
-  PushAll(live, est_work, /*initialize=*/false, epoch_increment);
+  PushAll(live, est_work, /*initialize=*/false);
 
   for (SourceSlot* slot : live) {
     last_batch_stats_.sources_total.Add(slot->ppr->last_stats());
@@ -274,6 +261,12 @@ void PprIndex::ApplyBatch(const UpdateBatch& batch,
   last_batch_stats_.sources_skipped =
       static_cast<int>(table->slots.size() - live.size());
   last_batch_stats_.wall_seconds = wall.Seconds();
+}
+
+void PprIndex::SetEpoch(uint64_t epoch) {
+  DPPR_CHECK_MSG(epoch >= 1 && NumMaterializedSources() == 0,
+                 "the epoch is set before any source is materialized");
+  epoch_.store(epoch, std::memory_order_release);
 }
 
 // ---------------------------------------------------- dynamic source set
@@ -374,7 +367,7 @@ size_t PprIndex::EvictColdSources(size_t keep_materialized) {
       spill_hooks_.spill(out);
     }
     live[i].second->ppr.reset();
-    live[i].second->snapshot.Evict();
+    live[i].second->snapshot.Evict(live[i].second->snapshot.Epoch());
   }
   return evict;
 }
@@ -402,22 +395,23 @@ bool PprIndex::ImportSource(ExportedSource in) {
   if (!graph_->IsValid(in.source) || FindSlot(in.source) != nullptr) {
     return false;
   }
+  // A live state describes one graph at one feed position: it installs
+  // only here, at the same epoch, over a graph at least as large.
+  if (in.materialized &&
+      (in.epoch != Epoch() ||
+       in.state.NumVertices() > graph_->NumVertices())) {
+    return false;
+  }
   auto table = CurrentTable();
   auto slot = std::make_shared<SourceSlot>(in.source);
   if (in.materialized) {
-    DPPR_CHECK_MSG(in.epoch >= 1,
-                   "a materialized export carries a published epoch");
     EnsurePpr(slot.get());
     slot->ppr->RestoreFromState(std::move(in.state));
     pool_.EnsureSize(ComputePoolSize(options_, table->slots.size() + 1));
-    // Re-publish the carried estimates at exactly the exported epoch: the
-    // bytes are unchanged, so the source's epoch sequence continues as if
-    // it had never moved.
-    slot->snapshot.SeedEpoch(in.epoch - 1);
-    slot->snapshot.Publish(slot->ppr->Estimates());
+    slot->snapshot.Publish(slot->ppr->Estimates(), in.epoch);
     Touch(*slot);
   } else {
-    slot->snapshot.SeedEpoch(in.epoch);
+    slot->snapshot.Evict(in.epoch);
   }
   SlotList next = table->slots;
   next.push_back(std::move(slot));
@@ -534,8 +528,7 @@ bool PprIndex::ChooseAcrossSources(int64_t est_work_per_source) const {
 }
 
 void PprIndex::PushAll(const std::vector<SourceSlot*>& slots,
-                       int64_t est_work_per_source, bool initialize,
-                       uint64_t epoch_increment) {
+                       int64_t est_work_per_source, bool initialize) {
   const bool across = ChooseAcrossSources(est_work_per_source);
   last_batch_stats_.across_sources = across;
   WallTimer push_timer;
@@ -561,14 +554,14 @@ void PprIndex::PushAll(const std::vector<SourceSlot*>& slots,
         for (;;) {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= slots.size()) break;
-          PushSource(slots[i], engine, initialize, epoch_increment);
+          PushSource(slots[i], engine, initialize);
         }
       });
     } else {
       ParallelPushEngine* engine =
           pool_.size() > 0 ? pool_.Engine(0) : nullptr;
       for (SourceSlot* slot : slots) {
-        PushSource(slot, engine, initialize, epoch_increment);
+        PushSource(slot, engine, initialize);
       }
     }
   } else {
@@ -576,14 +569,14 @@ void PprIndex::PushAll(const std::vector<SourceSlot*>& slots,
     // (for the engine-less sequential variant the pushes just run in turn).
     ParallelPushEngine* engine = pool_.size() > 0 ? pool_.Engine(0) : nullptr;
     for (SourceSlot* slot : slots) {
-      PushSource(slot, engine, initialize, epoch_increment);
+      PushSource(slot, engine, initialize);
     }
   }
   last_batch_stats_.push_wall_seconds = push_timer.Seconds();
 }
 
 void PprIndex::PushSource(SourceSlot* slot, ParallelPushEngine* engine,
-                          bool initialize, uint64_t epoch_increment) {
+                          bool initialize) {
   slot->ppr->SetEngine(engine);
   if (initialize) {
     slot->ppr->Initialize();
@@ -591,7 +584,7 @@ void PprIndex::PushSource(SourceSlot* slot, ParallelPushEngine* engine,
     slot->ppr->RunPushOnTouched(/*accumulate=*/true);
   }
   slot->ppr->SetEngine(nullptr);
-  slot->snapshot.Publish(slot->ppr->Estimates(), epoch_increment);
+  slot->snapshot.Publish(slot->ppr->Estimates(), Epoch());
 }
 
 // -------------------------------------------------------- snapshot reads
@@ -600,14 +593,6 @@ uint64_t PprIndex::Epoch(size_t i) const {
   auto table = CurrentTable();
   DPPR_DCHECK(i < table->slots.size());
   return table->slots[i]->snapshot.Epoch();
-}
-
-uint64_t PprIndex::MaxEpoch() const {
-  uint64_t max_epoch = 0;
-  for (const auto& slot : CurrentTable()->slots) {
-    max_epoch = std::max(max_epoch, slot->snapshot.Epoch());
-  }
-  return max_epoch;
 }
 
 std::shared_ptr<const IndexSnapshot> PprIndex::Snapshot(size_t i) const {

@@ -21,10 +21,11 @@
 //     (vertices updated more often than their out-degree) are coalesced:
 //     their replays collapse into one direct Eq. 2 solve per source.
 //  3. Snapshot reads — after each push a source publishes an immutable
-//     copy of its estimates behind an epoch counter (double-buffered with
-//     RCU-style reclamation; see README.md). QueryVertex and
-//     TopKWithGuarantee run against the latest published snapshot and are
-//     safe to call from any thread concurrently with ApplyBatch.
+//     copy of its estimates stamped with the index's epoch, 1 + the update
+//     requests the graph reflects (double-buffered with RCU-style
+//     reclamation; see README.md). QueryVertex and TopKWithGuarantee run
+//     against the latest published snapshot and are safe to call from any
+//     thread concurrently with ApplyBatch.
 //  4. Dynamic sources — AddSource / RemoveSource grow and shrink the hub
 //     set online. The source table itself is copy-on-write behind an
 //     atomic shared_ptr, so by-source reads stay safe while the
@@ -32,9 +33,9 @@
 //  5. Lazy materialization + LRU — a source is "materialized" when it
 //     holds live PprState and a published snapshot. With
 //     IndexOptions::max_materialized_sources set, the coldest sources
-//     (LRU by read access) are evicted down to their id + epoch, and
-//     MaterializeSource rebuilds them on demand with a from-scratch push,
-//     so K can exceed scratch memory.
+//     (LRU by read access) are evicted down to their id + frozen epoch,
+//     and MaterializeSource rebuilds them on demand with a from-scratch
+//     push at the current epoch, so K can exceed scratch memory.
 
 #ifndef DPPR_INDEX_PPR_INDEX_H_
 #define DPPR_INDEX_PPR_INDEX_H_
@@ -95,7 +96,9 @@ struct IndexOptions {
 
 /// \brief One published, immutable snapshot of a source's estimates.
 struct IndexSnapshot {
-  uint64_t epoch = 0;  ///< publish count of this source (Initialize = 1)
+  /// The index's epoch at publish: 1 + the update requests the graph
+  /// reflected (so Initialize publishes 1). 0 = never published.
+  uint64_t epoch = 0;
   /// False before the first publish and after an eviction: the estimates
   /// are absent (empty) and the source must be (re-)materialized before
   /// it can serve reads again.
@@ -123,11 +126,11 @@ struct IndexBatchStats {
 /// \brief A source lifted out of one index for installation into another,
 /// at a definite epoch — the unit the sharded router migrates when the
 /// hash ring changes. For a materialized source `state` carries the live
-/// (p, r) pair; an evicted source travels as id + epoch only (the
-/// receiving shard re-materializes on demand, exactly as the LRU path
-/// does). Both graphs must be identical when the state is installed — the
-/// router guarantees this by quiescing the shared update feed around a
-/// migration.
+/// (p, r) pair at the donor's epoch; an evicted source travels as id +
+/// frozen epoch only (the receiving shard re-materializes on demand,
+/// exactly as the LRU path does). Both indexes must be at the same graph
+/// and epoch when the state is installed — the router guarantees this by
+/// quiescing the shared update feed around a migration.
 struct ExportedSource {
   VertexId source = kInvalidVertex;
   uint64_t epoch = 0;
@@ -146,7 +149,7 @@ struct ExportedSource {
 ///  * `rematerialize` fires in MaterializeSource before the from-scratch
 ///    fallback. The store loads the newest spill of `source`, and — only
 ///    if the spilled epoch equals `slot_epoch` (the epoch the slot froze
-///    at, which eviction preserves) and the batch log still covers every
+///    at, which eviction keeps) and the batch log still covers every
 ///    record since the spill — adopts the state into `ppr` and restores
 ///    the invariant at every endpoint the source missed while cold
 ///    (RestoreVertexDirect per distinct endpoint; path-independent, so
@@ -186,35 +189,22 @@ class SnapshotSlot {
  public:
   /// Writer-only (one publisher per slot at a time; PprIndex serializes
   /// this structurally — one source is pushed by exactly one worker).
-  /// `epoch_increment` is the number of epochs this publish advances —
-  /// normally 1, or the number of coalesced update requests folded into
-  /// the batch being published, so a replica that merges a burst into one
-  /// ApplyBatch lands on the SAME epoch as one that applied the requests
-  /// separately (the invariant replica failover relies on).
-  void Publish(const std::vector<double>& estimates,
-               uint64_t epoch_increment = 1);
+  /// Publishes `estimates` stamped with `epoch`, the index's epoch.
+  void Publish(const std::vector<double>& estimates, uint64_t epoch);
 
-  /// Writer-only: drops the published estimates (and the recycle buffer)
-  /// but keeps the epoch, so a later re-materialization publishes the
-  /// next epoch in sequence. Readers holding the old snapshot keep it;
-  /// new readers observe materialized == false.
-  void Evict();
-
-  /// Writer-only, pre-publish: adopts `epoch` as the last-published epoch
-  /// of this slot (readers observe an unmaterialized snapshot at that
-  /// epoch, exactly like a post-Evict slot). Lets an imported source
-  /// continue its epoch sequence instead of restarting at 1.
-  void SeedEpoch(uint64_t epoch);
+  /// Writer-only: drops the published estimates (and the recycle buffer).
+  /// Readers holding the old snapshot keep it; new readers observe
+  /// materialized == false at `epoch`, the epoch the state froze at.
+  void Evict(uint64_t epoch);
 
   /// Any thread, any time. Never null; before the first publish it returns
   /// an empty snapshot with epoch 0.
   std::shared_ptr<const IndexSnapshot> Read() const;
 
-  /// Epoch of the latest published snapshot (0 before Initialize).
-  uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
+  /// Epoch of the latest snapshot (0 before the first publish).
+  uint64_t Epoch() const { return Read()->epoch; }
 
  private:
-  std::atomic<uint64_t> epoch_{0};
   std::atomic<std::shared_ptr<const IndexSnapshot>> current_;
   std::shared_ptr<IndexSnapshot> retired_;  ///< writer's recycle buffer
 };
@@ -245,34 +235,37 @@ class PprIndex {
            const PprOptions& ppr_options);
 
   /// From-scratch computation for every source (pushed through the pool),
-  /// followed by the first snapshot publish (epoch 1). Under a
-  /// max_materialized_sources cap only the first `cap` sources
-  /// materialize; the rest stay evicted until demanded.
+  /// followed by the first snapshot publish at the index's epoch (1 on a
+  /// fresh index). Under a max_materialized_sources cap only the first
+  /// `cap` sources materialize; the rest stay evicted until demanded.
   void Initialize();
 
   /// Batch maintenance: mutates the graph once (journaling post-update
-  /// degrees), restores every materialized source's invariant by
-  /// source-parallel journal replay (heavy-hitter endpoints coalesced
-  /// into direct solves), pushes those sources across the engine pool,
-  /// and publishes a fresh snapshot per source. Evicted sources are
-  /// skipped — re-materialization recomputes from scratch anyway.
+  /// degrees), advances the epoch by `requests`, restores every
+  /// materialized source's invariant by source-parallel journal replay
+  /// (heavy-hitter endpoints coalesced into direct solves), pushes those
+  /// sources across the engine pool, and publishes a fresh snapshot per
+  /// source. Evicted sources are skipped — re-materialization recomputes
+  /// from scratch anyway.
   ///
-  /// `epoch_increment` makes per-source epochs a deterministic function
-  /// of the update-request sequence rather than of coalescing timing: a
-  /// caller that merged N queued update requests into this one batch
-  /// passes N, so every replica of this index — however its maintenance
-  /// thread happened to batch the same feed — publishes the same epoch
-  /// for the same prefix of requests. Replica failover depends on this:
-  /// a promoted standby must never answer with an epoch behind one the
-  /// failed primary already served.
-  void ApplyBatch(const UpdateBatch& batch, uint64_t epoch_increment = 1);
+  /// `requests` is the number of update requests folded into `batch`: a
+  /// caller that merged N queued requests passes N, so every replica of
+  /// this index — however its maintenance thread happened to batch the
+  /// same feed — reaches the same epoch for the same prefix of requests.
+  void ApplyBatch(const UpdateBatch& batch, uint64_t requests = 1);
+
+  /// Adopts `epoch` as the feed position, before any source is
+  /// materialized: a replica cloned from a donor's graph, or one recovered
+  /// from a checkpoint, starts where its graph is instead of at 1.
+  void SetEpoch(uint64_t epoch);
 
   // --- Dynamic source set (maintainer-serialized) -----------------------
 
   /// Adds `s` as a new source: from-scratch push on the current graph
-  /// through a pooled engine, snapshot published at epoch 1, then the
-  /// source table is swapped copy-on-write. Returns false (and changes
-  /// nothing) if `s` is already a source or not a vertex of the graph.
+  /// through a pooled engine, snapshot published at the index's epoch,
+  /// then the source table is swapped copy-on-write. Returns false (and
+  /// changes nothing) if `s` is already a source or not a vertex of the
+  /// graph.
   bool AddSource(VertexId s);
 
   /// Removes source `s` from the table (copy-on-write; readers holding
@@ -280,8 +273,8 @@ class PprIndex {
   bool RemoveSource(VertexId s);
 
   /// Rebuilds an evicted source's state with a from-scratch push and
-  /// publishes its next epoch. True if `s` is materialized on return
-  /// (including "was already"); false if `s` is not a source.
+  /// publishes it at the index's epoch. True if `s` is materialized on
+  /// return (including "was already"); false if `s` is not a source.
   bool MaterializeSource(VertexId s);
 
   /// Evicts least-recently-read materialized sources until at most
@@ -313,13 +306,14 @@ class PprIndex {
   /// while the primary keeps serving it. False if `s` is not a source.
   bool PeekSource(VertexId s, ExportedSource* out) const;
 
-  /// Installs a source exported from another index over an identical
-  /// graph: adds the slot, adopts the carried state without any push, and
-  /// re-publishes at exactly the exported epoch (the estimates are the
-  /// same bytes, so the epoch sequence continues unbroken; an epoch that
-  /// merely changed shards never appears to regress or skip). An
-  /// unmaterialized export stays evicted at its epoch. False (and no
-  /// change) if the source already exists or is not a graph vertex.
+  /// Installs a source exported from another index at the same graph and
+  /// epoch: adds the slot, adopts the carried state without any push, and
+  /// re-publishes the same bytes at the same epoch, so a source that
+  /// merely changed shards never appears to regress or skip. An
+  /// unmaterialized export stays evicted at its frozen epoch. False (and
+  /// no change) if the source already exists or is not a graph vertex, or
+  /// if a materialized state is at another epoch or has more vertices
+  /// than the graph.
   bool ImportSource(ExportedSource in);
 
   // --- Table inspection (safe from any thread) --------------------------
@@ -347,12 +341,12 @@ class PprIndex {
 
   // --- Snapshot reads: safe concurrently with maintenance ---------------
 
-  /// Latest published epoch of source `i` (0 before Initialize; +1 per
-  /// publish; preserved across evictions).
+  /// The index's epoch: 1 + the update requests its graph reflects. Every
+  /// materialized source publishes at it; an evicted one keeps the epoch
+  /// it froze at.
+  uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
+  /// Epoch of source `i`'s latest snapshot (0 before its first publish).
   uint64_t Epoch(size_t i) const;
-  /// Highest epoch published across the current sources (0 when there are
-  /// none) — the shard's feed frontier, read from one table.
-  uint64_t MaxEpoch() const;
 
   /// The latest published snapshot of source `i` (shared, immutable).
   std::shared_ptr<const IndexSnapshot> Snapshot(size_t i) const;
@@ -434,13 +428,14 @@ class PprIndex {
   void EnforceLruCap();
   bool ChooseAcrossSources(int64_t est_work_per_source) const;
   void PushAll(const std::vector<SourceSlot*>& slots,
-               int64_t est_work_per_source, bool initialize,
-               uint64_t epoch_increment);
+               int64_t est_work_per_source, bool initialize);
   void PushSource(SourceSlot* slot, ParallelPushEngine* engine,
-                  bool initialize, uint64_t epoch_increment = 1);
+                  bool initialize);
 
   DynamicGraph* graph_;
   IndexOptions options_;
+  /// 1 + the update requests applied; written by the maintainer only.
+  std::atomic<uint64_t> epoch_{1};
   std::atomic<std::shared_ptr<const SourceTable>> table_;
   EnginePool pool_;
   std::vector<JournaledUpdate> journal_;

@@ -301,7 +301,7 @@ void PprServer::Execute(const Work& work) {
       stats.num_vertices = static_cast<uint32_t>(
           service_->index()->graph()->NumVertices());
       stats.num_sources = service_->index()->NumSources();
-      stats.max_epoch = service_->index()->MaxEpoch();
+      stats.max_epoch = service_->index()->Epoch();
       stats.graph_checksum = service_->index()->graph()->Checksum();
       stats.running = service_->running() ? 1 : 0;
       Histogram query_ms;

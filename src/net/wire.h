@@ -177,9 +177,9 @@ Status DecodeExtractResponse(const std::string& payload,
 struct ShardStats {
   uint32_t num_vertices = 0;   ///< graph replica size (join-time check)
   uint64_t num_sources = 0;
-  /// Highest snapshot epoch published across the shard's sources — its
-  /// feed frontier, the reference point replica staleness is measured
-  /// against (new in frame version 2).
+  /// The shard's epoch, PprIndex::Epoch: 1 + the update requests its
+  /// graph reflects, the epoch every live source serves at. The join
+  /// handshake compares it with the cohort's (new in frame version 2).
   uint64_t max_epoch = 0;
   /// Fingerprint of the shard's graph replica (DynamicGraph::Checksum).
   /// The join handshake compares it against the cohort before admitting a

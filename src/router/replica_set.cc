@@ -216,8 +216,7 @@ QueryResponse ReplicaSet::ObserveRead(ReplicaPtr replica,
     uint64_t floor = 0;
     {
       std::lock_guard<std::mutex> lock(staleness_mu_);
-      const auto it = epoch_floor_.find(request.source);
-      if (it != epoch_floor_.end()) floor = it->second;
+      floor = served_floor_;
     }
     if (options_.max_epoch_lag >= 0 &&
         response.epoch + static_cast<uint64_t>(options_.max_epoch_lag) <
@@ -239,11 +238,10 @@ QueryResponse ReplicaSet::ObserveRead(ReplicaPtr replica,
     }
     {
       std::lock_guard<std::mutex> lock(staleness_mu_);
-      uint64_t& floor_entry = epoch_floor_[request.source];
-      staleness_.Add(floor_entry > response.epoch
-                         ? static_cast<double>(floor_entry - response.epoch)
+      staleness_.Add(served_floor_ > response.epoch
+                         ? static_cast<double>(served_floor_ - response.epoch)
                          : 0.0);
-      if (response.epoch > floor_entry) floor_entry = response.epoch;
+      served_floor_ = std::max(served_floor_, response.epoch);
     }
   }
 
@@ -254,11 +252,6 @@ QueryResponse ReplicaSet::ObserveRead(ReplicaPtr replica,
     standby_reads_.fetch_add(1, std::memory_order_relaxed);
   }
   return response;
-}
-
-void ReplicaSet::ForgetSource(VertexId s) {
-  std::lock_guard<std::mutex> lock(staleness_mu_);
-  epoch_floor_.erase(s);
 }
 
 template <typename Response, typename Issue, typename Unavailable>
@@ -453,14 +446,6 @@ MaintResponse ReplicaSet::FanOutFeed(const Request& request) {
 std::future<MaintResponse> ReplicaSet::Feed(const Request& request) {
   const VerbRule& rule = RuleOf(request.verb);
   DPPR_CHECK_MSG(rule.kind != VerbKind::kRead, "not a feed verb");
-  if (request.verb == Verb::kRemoveSource) {
-    // Forget the served-epoch floor up front: if the removal lands, a
-    // later tenant of this id restarts its epoch sequence at 1 and must
-    // not be judged against the old tenant's floor. If it fails
-    // (kUnknownSource), the floor rebuilds from the very next read — a
-    // one-read gap in enforcement, never a wrong answer.
-    ForgetSource(request.source);
-  }
   // Submit OUTSIDE mu_ (SolePrimary only copies the pointer): a remote
   // submission is a socket write that can block on a slow peer, and
   // holding mu_ through it would stall every concurrent read's
@@ -553,7 +538,6 @@ MaintResponse ReplicaSet::ExtractBlob(VertexId s, std::string* blob) {
       },
       IsUnavailable);
   if (extracted.status != RequestStatus::kOk) return extracted;
-  ForgetSource(s);  // the source leaves the slot; see Feed
 
   // Drop the standbys' copies so the slot's replicas stay in lockstep.
   for (const ReplicaPtr& replica : replicas) {
@@ -885,12 +869,12 @@ void ReplicaSet::SnapshotMetrics(MetricsReport* report,
   }
 }
 
-const DynamicGraph* ReplicaSet::LocalGraph() const {
+const PprIndex* ReplicaSet::LocalIndex() const {
   std::vector<ReplicaPtr> replicas;
   SnapshotReplicas(&replicas, nullptr);
   for (const ReplicaPtr& replica : replicas) {
-    const DynamicGraph* graph = replica->backend->LocalGraph();
-    if (graph != nullptr) return graph;
+    const PprIndex* index = replica->backend->LocalIndex();
+    if (index != nullptr) return index;
   }
   return nullptr;
 }
@@ -939,9 +923,9 @@ void ReplicaSet::MergeStaleness(Histogram* out) const {
   out->Merge(staleness_);
 }
 
-uint64_t ReplicaSet::GraphChecksum() const {
+FeedPosition ReplicaSet::Position() const {
   ReplicaPtr primary = AcquirePrimary();
-  return primary == nullptr ? 0 : primary->backend->GraphChecksum();
+  return primary == nullptr ? FeedPosition{} : primary->backend->Position();
 }
 
 }  // namespace dppr

@@ -25,10 +25,11 @@
 //   * feed and admin ops (Feed) — fanned to every live replica,
 //     STANDBYS FIRST, then the primary, one fan-out at a time
 //     (feed_mu_). Two invariants fall out: every replica receives the
-//     same op sequence (so per-source epochs, which advance by update
-//     REQUEST count — see PprIndex::ApplyBatch — agree across replicas),
-//     and a standby is never behind an epoch the primary has served (so
-//     promotion can never regress an epoch a client already saw). A
+//     same op sequence (so replica epochs, which count update REQUESTS —
+//     see PprIndex::ApplyBatch — agree, and every source on a replica
+//     shares its replica's epoch), and a standby is never behind an epoch
+//     the primary has served (so promotion can never regress an epoch a
+//     client already saw). A
 //     replica that sheds is retried with backoff — lag, never
 //     divergence; a standby that dies mid-feed is dead for good (its
 //     replica is behind) and is never promoted.
@@ -61,7 +62,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "router/shard_backend.h"
@@ -97,12 +97,12 @@ struct ReplicaSetOptions {
   ReadPolicy read_policy = ReadPolicy::kPrimaryOnly;
 
   /// Bounded staleness, enforced (kRoundRobinLive only): an OK answer
-  /// whose epoch trails the highest epoch this slot has SERVED for the
-  /// same source by more than this many epochs is re-read once on the
-  /// primary before it is returned. Epochs advance per update request,
-  /// so the bound is "at most N update requests behind what some client
-  /// already saw". Negative disables enforcement — the staleness
-  /// histogram still records what was served.
+  /// whose epoch trails the highest epoch this slot has SERVED, for any
+  /// source, by more than this many epochs is re-read once on the primary
+  /// before it is returned. Epochs count update requests, so the bound is
+  /// "at most N update requests behind what some client already saw".
+  /// Negative disables enforcement — the staleness histogram still
+  /// records what was served.
   int64_t max_epoch_lag = -1;
 };
 
@@ -142,7 +142,7 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
 
   /// Reads fail over on kUnavailable. A verb whose row lets a standby
   /// answer (point and top-k) is routed by ReadPolicy and checked against
-  /// the per-source staleness floor; the others (the estimator reads) go
+  /// the slot's served-epoch floor; the others (the estimator reads) go
   /// to the primary and only fail over. `affinity` pins a session to one
   /// replica (affinity % NumReplicas) for per-source monotonic reads while
   /// that replica lives; 0 means no pin (round-robin under
@@ -154,9 +154,8 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   /// at a time; the primary's answer is the slot's. kQuiesce is a barrier
   /// through every live replica's maintenance queue instead.
   std::future<MaintResponse> Feed(const Request& request);
-  /// Grouped reads distribute by policy too, but bypass the per-source
-  /// staleness floor (the bound is a per-source promise; a group spans
-  /// sources whose epochs are not mutually comparable).
+  /// Grouped reads distribute by policy too, but bypass the served-epoch
+  /// floor.
   std::future<std::vector<QueryResponse>> MultiSourceAsync(
       std::vector<VertexId> sources, VertexId v, int64_t deadline_ms);
 
@@ -203,8 +202,8 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
                        Histogram* batch_ms) const;
 
-  /// First live in-process graph replica, or nullptr (all-remote slot).
-  const DynamicGraph* LocalGraph() const;
+  /// First live in-process replica's index, or nullptr (all-remote slot).
+  const PprIndex* LocalIndex() const;
 
   size_t NumReplicas() const;
   /// Index of the current primary (-1 when the set is empty).
@@ -228,11 +227,11 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   /// OK reads served per replica, index-aligned with the replica list.
   std::vector<int64_t> ReadsPerReplica() const;
   /// Merges this slot's staleness samples — how many epochs each OK read
-  /// trailed the highest epoch served for its source — into *out.
+  /// trailed the highest epoch the slot had served — into *out.
   void MergeStaleness(Histogram* out) const;
-  /// The current primary's graph fingerprint (0 if down) — what the
+  /// The current primary's feed position (zeros if down) — what the
   /// router's join handshake compares a candidate against.
-  uint64_t GraphChecksum() const;
+  FeedPosition Position() const;
 
  private:
   struct Replica {
@@ -268,14 +267,10 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   /// re-asks the primary when a standby refused a read it would serve
   /// (kUnknownSource drift / its own LRU eviction) or when the answer
   /// violates max_epoch_lag, records the staleness sample, advances the
-  /// per-source served-epoch floor, and counts the read on the replica
-  /// that finally answered.
+  /// served-epoch floor, and counts the read on the replica that finally
+  /// answered.
   QueryResponse ObserveRead(ReplicaPtr replica, const Request& request,
                             QueryResponse response);
-  /// Drops source `s` from the served-epoch floor — a source leaving the
-  /// slot (migration/removal) must not haunt a later tenant whose epoch
-  /// sequence restarts.
-  void ForgetSource(VertexId s);
   /// The primary IFF it is the only replica (the unreplicated fast
   /// path), else nullptr. Lets feed ops submit outside mu_ — a remote
   /// submission is a socket write that may block.
@@ -317,12 +312,10 @@ class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
   std::atomic<int64_t> primary_reads_{0};
   std::atomic<int64_t> standby_reads_{0};
   std::atomic<int64_t> stale_retries_{0};
-  /// Guards the served-epoch floors and the staleness samples. Epochs are
-  /// PER-SOURCE publish counts (and migration preserves the donor's
-  /// sequence), so the floor must be per-source — epochs of different
-  /// sources are not comparable.
+  /// Guards the served-epoch floor and the staleness samples. One floor
+  /// serves every source: all sources on a replica share its epoch.
   mutable std::mutex staleness_mu_;
-  std::unordered_map<VertexId, uint64_t> epoch_floor_;
+  uint64_t served_floor_ = 0;
   Histogram staleness_;
 };
 

@@ -38,10 +38,10 @@ LocalShardBackend::LocalShardBackend(
     const std::vector<Edge>& edges, VertexId num_vertices,
     std::vector<VertexId> sources, const IndexOptions& index_options,
     const ServiceOptions& service_options, std::string data_dir,
-    const storage::DurableStoreOptions& durability) {
+    const storage::DurableStoreOptions& durability, uint64_t epoch) {
   if (!data_dir.empty()) {
-    store_ = std::make_unique<storage::DurableStore>(std::move(data_dir),
-                                                     durability);
+    store_ = std::make_unique<storage::DurableStore>(
+        std::move(data_dir), durability, /*feed_seq=*/epoch - 1);
     const Status opened = store_->Open();
     DPPR_CHECK_MSG(opened.ok(), opened.message().c_str());
     // Any prior state on disk wins over the seed arguments: this is a
@@ -60,6 +60,7 @@ LocalShardBackend::LocalShardBackend(
   }
   index_ = std::make_unique<PprIndex>(graph_.get(), std::move(sources),
                                       index_options);
+  index_->SetEpoch(epoch);  // recovery's Replay overrides it from disk
   service_ = std::make_unique<PprService>(index_.get(), service_options);
 }
 
@@ -69,10 +70,10 @@ void LocalShardBackend::Start() {
     service_->AttachDurableStore(store_.get());
   }
   if (recovered_) {
-    // Replay instead of Initialize: imports the checkpointed sources at
-    // their persisted epochs and re-applies the logged tail. Initialize
-    // would re-push them from scratch AND advance their epochs — exactly
-    // the regression recovery exists to prevent.
+    // Replay instead of Initialize: restores the persisted epoch, imports
+    // the checkpointed sources and re-applies the logged tail. Initialize
+    // over the seed graph would publish the seed's epoch — exactly the
+    // regression recovery exists to prevent.
     const Status replayed = store_->Replay(index_.get());
     DPPR_CHECK_MSG(replayed.ok(), replayed.message().c_str());
   } else {
@@ -177,7 +178,7 @@ bool LocalShardBackend::HasSource(VertexId s) const {
 }
 
 uint64_t LocalShardBackend::MaxEpoch() const {
-  return severed() ? 0 : index_->MaxEpoch();
+  return severed() ? 0 : index_->Epoch();
 }
 
 uint64_t LocalShardBackend::GraphChecksum() const {
@@ -260,10 +261,10 @@ bool RemoteShardBackend::HasSource(VertexId s) const {
   return false;
 }
 
-uint64_t RemoteShardBackend::GraphChecksum() const {
+FeedPosition RemoteShardBackend::Position() const {
   net::ShardStats stats;
-  if (!client_->Stats(/*include_samples=*/false, &stats).ok()) return 0;
-  return stats.graph_checksum;
+  if (!client_->Stats(/*include_samples=*/false, &stats).ok()) return {};
+  return {stats.graph_checksum, stats.max_epoch};
 }
 
 void RemoteShardBackend::SnapshotMetrics(MetricsReport* report,

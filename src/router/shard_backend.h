@@ -76,6 +76,13 @@ MaintResponse RetryShedBlocking(const Submit& submit) {
 
 }  // namespace responses
 
+/// \brief Where a shard stands in the shared update feed, from one
+/// observation: two shards at equal positions serve the same answers.
+struct FeedPosition {
+  uint64_t graph_checksum = 0;  ///< DynamicGraph::Checksum; 0 = unknown
+  uint64_t epoch = 0;  ///< PprIndex::Epoch (1 + requests); 0 = unknown
+};
+
 /// \brief One shard as the router sees it. See file comment.
 ///
 /// Thread-safety matches PprService: everything is safe from any thread
@@ -118,12 +125,11 @@ class ShardBackend {
   virtual size_t NumSources() const = 0;
   virtual bool HasSource(VertexId s) const = 0;
 
-  /// Fingerprint of this shard's graph replica
-  /// (DynamicGraph::Checksum; wire frame v3 ships it in kStats). The
-  /// router's join handshake compares a candidate's fingerprint against
-  /// the quiesced fleet before admitting it. 0 = unknown/unreachable —
-  /// never a valid fingerprint to compare against.
-  virtual uint64_t GraphChecksum() const = 0;
+  /// This shard's graph fingerprint and epoch (one kStats round trip for
+  /// a remote shard). The router's join handshake compares a candidate's
+  /// position against the quiesced fleet's before admitting it. Zeros =
+  /// unknown/unreachable — never a valid position to compare against.
+  virtual FeedPosition Position() const = 0;
 
   /// Counters AND exact latency samples from one observation (for a
   /// remote shard a single kStats round trip), pooled into the caller's
@@ -131,9 +137,10 @@ class ShardBackend {
   virtual void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
                                Histogram* batch_ms) const = 0;
 
-  /// The in-process graph replica, or nullptr for a remote shard. The
-  /// router clones a local donor's graph when it grows a local shard.
-  virtual const DynamicGraph* LocalGraph() const { return nullptr; }
+  /// The in-process index (and through it the graph replica), or nullptr
+  /// for a remote shard. The router clones a local donor's graph and
+  /// epoch when it grows a local replica.
+  virtual const PprIndex* LocalIndex() const { return nullptr; }
 
   /// Fault injection: makes this backend behave like a dead shard from
   /// now on — every request answers kUnavailable, introspection answers
@@ -154,13 +161,16 @@ class LocalShardBackend : public ShardBackend {
   /// incarnation's state, the backend RECOVERS from it — the checkpointed
   /// graph and replayed log replace the seed `edges`/`sources` entirely
   /// (without a checkpoint the seed graph is the replay base, so it must
-  /// match what the original process started from).
+  /// match what the original process started from). `epoch` is the seed
+  /// graph's feed position (PprIndex::SetEpoch): a replica cloned from a
+  /// donor starts at the donor's.
   LocalShardBackend(const std::vector<Edge>& edges, VertexId num_vertices,
                     std::vector<VertexId> sources,
                     const IndexOptions& index_options,
                     const ServiceOptions& service_options,
                     std::string data_dir = {},
-                    const storage::DurableStoreOptions& durability = {});
+                    const storage::DurableStoreOptions& durability = {},
+                    uint64_t epoch = 1);
 
   void Start() override;
   void Stop() override;
@@ -179,16 +189,20 @@ class LocalShardBackend : public ShardBackend {
   std::vector<VertexId> Sources() const override;
   size_t NumSources() const override;
   bool HasSource(VertexId s) const override;
-  uint64_t GraphChecksum() const override;
+  FeedPosition Position() const override {
+    return {GraphChecksum(), MaxEpoch()};
+  }
   void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
                        Histogram* batch_ms) const override;
-  const DynamicGraph* LocalGraph() const override {
-    return severed() ? nullptr : graph_.get();
+  const PprIndex* LocalIndex() const override {
+    return severed() ? nullptr : index_.get();
   }
   bool Sever() override;
 
-  /// Highest snapshot epoch published across this shard's sources (0 when
-  /// empty or severed): the feed frontier recovery checks report.
+  /// The graph fingerprint (0 when severed).
+  uint64_t GraphChecksum() const;
+  /// The shard's epoch, PprIndex::Epoch (0 when severed): what recovery
+  /// checks report and kStats ships as max_epoch.
   uint64_t MaxEpoch() const;
   PprService* service() { return service_.get(); }
   /// The attached durable store (null without data_dir).
@@ -240,7 +254,7 @@ class RemoteShardBackend : public ShardBackend {
   std::vector<VertexId> Sources() const override;
   size_t NumSources() const override;
   bool HasSource(VertexId s) const override;
-  uint64_t GraphChecksum() const override;
+  FeedPosition Position() const override;
   void SnapshotMetrics(MetricsReport* report, Histogram* query_ms,
                        Histogram* batch_ms) const override;
   /// Severs the TCP connection: every later call answers kUnavailable,

@@ -49,7 +49,7 @@ ShardedPprService::~ShardedPprService() { Stop(); }
 
 std::unique_ptr<ShardBackend> ShardedPprService::BuildLocalBackend(
     const std::vector<Edge>& edges, VertexId num_vertices,
-    std::vector<VertexId> sources) const {
+    std::vector<VertexId> sources, uint64_t epoch) const {
   std::string data_dir;
   if (!options_.data_dir.empty()) {
     // One subdirectory per backend ever built: replicas of a slot must
@@ -63,7 +63,7 @@ std::unique_ptr<ShardBackend> ShardedPprService::BuildLocalBackend(
   }
   return std::make_unique<LocalShardBackend>(
       edges, num_vertices, std::move(sources), options_.index,
-      options_.service, std::move(data_dir), options_.durability);
+      options_.service, std::move(data_dir), options_.durability, epoch);
 }
 
 std::unique_ptr<ShardedPprService::Shard> ShardedPprService::NewSlot(
@@ -451,31 +451,41 @@ int ShardedPprService::AddShard() {
   if (!started_ || stopped_) return -1;
   // Growing locally needs a local graph to clone; a pure routing
   // front-end over remote shards has none.
-  const DynamicGraph* donor_graph = nullptr;
-  for (const auto& shard : shards_) {
-    donor_graph = shard->set->LocalGraph();
-    if (donor_graph != nullptr) break;
-  }
-  if (donor_graph == nullptr) return -1;
+  const PprIndex* donor = LocalDonorLocked();
+  if (donor == nullptr) return -1;
   QuiesceAllLocked();
 
   // All replicas are identical once quiesced; clone any local one. The
   // wrapper semantics: one replica, exactly the pre-replication shard.
   const int id = next_shard_id_++;
   auto fresh = NewSlot(id);
-  fresh->set->AddReplica(BuildLocalBackend(
-      donor_graph->ToEdgeList(), donor_graph->NumVertices(), {}));
+  fresh->set->AddReplica(CloneLocalBackend(*donor));
   fresh->set->Start();  // no sources yet: publishes nothing
   AdmitShardLocked(std::move(fresh));
   return id;
 }
 
-uint64_t ShardedPprService::ReferenceChecksumLocked() const {
+const PprIndex* ShardedPprService::LocalDonorLocked() const {
   for (const auto& shard : shards_) {
-    const uint64_t checksum = shard->set->GraphChecksum();
-    if (checksum != 0) return checksum;
+    const PprIndex* index = shard->set->LocalIndex();
+    if (index != nullptr) return index;
   }
-  return 0;
+  return nullptr;
+}
+
+std::unique_ptr<ShardBackend> ShardedPprService::CloneLocalBackend(
+    const PprIndex& donor) const {
+  const DynamicGraph& graph = *donor.graph();
+  return BuildLocalBackend(graph.ToEdgeList(), graph.NumVertices(), {},
+                           donor.Epoch());
+}
+
+FeedPosition ShardedPprService::ReferencePositionLocked() const {
+  for (const auto& shard : shards_) {
+    const FeedPosition position = shard->set->Position();
+    if (position.graph_checksum != 0) return position;
+  }
+  return {};
 }
 
 std::unique_ptr<RemoteShardBackend> ShardedPprService::DialRemoteBackend(
@@ -488,22 +498,21 @@ std::unique_ptr<RemoteShardBackend> ShardedPprService::DialRemoteBackend(
       static_cast<VertexId>(stats.num_vertices) != num_vertices_) {
     return nullptr;
   }
-  // A fresh joiner must be a blank slate: a shard that already owns
-  // sources would shadow-own keys the ring assigns elsewhere, and a
-  // nonzero feed frontier means it consumed updates the cohort may not
-  // have — either way its answers could diverge. (AdoptRemoteShard
-  // relaxes this deliberately, for shards recovered from disk.)
-  if (expect_empty && (stats.num_sources != 0 || stats.max_epoch != 0)) {
-    return nullptr;
-  }
-  // Graph handshake (wire v3): the caller quiesced the fleet first, so
-  // the cohort's fingerprint is stable — a joiner whose graph replica
-  // diverged (stale twin, missed updates, wrong dataset) is refused here
-  // instead of silently serving wrong answers. A pre-v3 peer answers 0
-  // and degrades to the size-only check.
-  const uint64_t reference = ReferenceChecksumLocked();
-  if (reference != 0 && stats.graph_checksum != 0 &&
-      stats.graph_checksum != reference) {
+  // A fresh joiner must own no sources: it would shadow-own keys the
+  // ring assigns elsewhere. (AdoptRemoteShard relaxes this deliberately,
+  // for shards recovered from disk.)
+  if (expect_empty && stats.num_sources != 0) return nullptr;
+  // Feed handshake: the caller quiesced the fleet first, so the cohort's
+  // position is stable. A joiner must sit at the same graph fingerprint
+  // AND the same epoch — a graph that diverged (stale twin, wrong
+  // dataset) or a feed that did (an insert+delete leaves the fingerprint
+  // but not the epoch) is refused here instead of serving wrong answers
+  // or forked epochs. With no live cohort to compare against, the size
+  // check stands alone.
+  const FeedPosition reference = ReferencePositionLocked();
+  if (reference.graph_checksum != 0 &&
+      (stats.graph_checksum != reference.graph_checksum ||
+       stats.max_epoch != reference.epoch)) {
     return nullptr;
   }
   // A materialized source's migration blob is ~16 bytes/vertex (p and r
@@ -565,17 +574,12 @@ int ShardedPprService::AddReplica(int slot_id) {
   if (!started_ || stopped_) return -1;
   Shard* slot = FindShard(slot_id);
   if (slot == nullptr) return -1;
-  const DynamicGraph* donor_graph = nullptr;
-  for (const auto& shard : shards_) {
-    donor_graph = shard->set->LocalGraph();
-    if (donor_graph != nullptr) break;
-  }
-  if (donor_graph == nullptr) return -1;
-  // Quiesce so the cloned graph and the copied per-source state describe
-  // the same feed prefix — the standby joins bit-identical.
+  const PprIndex* donor = LocalDonorLocked();
+  if (donor == nullptr) return -1;
+  // Quiesce so the cloned graph and epoch and the copied per-source state
+  // describe the same feed prefix — the standby joins bit-identical.
   QuiesceAllLocked();
-  auto backend = BuildLocalBackend(donor_graph->ToEdgeList(),
-                                   donor_graph->NumVertices(), {});
+  auto backend = CloneLocalBackend(*donor);
   backend->Start();
   const int index = slot->set->AddReplica(std::move(backend));
   // Sync fails when the slot has no live primary to copy from (e.g. the

@@ -304,16 +304,17 @@ class ShardedPprService {
   // and behave unchanged.
 
   /// Attaches a new LOCAL standby to existing slot `slot_id`: the graph
-  /// is cloned from a quiesced local peer, the slot's sources are copied
-  /// onto the standby as checksummed blobs at unchanged epochs. Returns
+  /// and epoch are cloned from a quiesced local peer, the slot's sources
+  /// are copied onto the standby as checksummed blobs at that epoch. Returns
   /// the replica index within the slot, or -1 (unknown slot, not
   /// running, or no local graph to clone).
   int AddReplica(int slot_id);
 
   /// Attaches a RUNNING remote shard process as a synced standby of
   /// `slot_id`. Same admission checks as AddRemoteShard (reachable, same
-  /// |V|, empty, blobs fit a frame); the slot's sources are then copied
-  /// onto it over the wire. Returns the replica index, or -1.
+  /// |V|, no sources, the cohort's feed position, blobs fit a frame); the
+  /// slot's sources are then copied onto it over the wire. Returns the
+  /// replica index, or -1.
   int AddRemoteReplica(int slot_id, const std::string& host, int port);
 
   /// Detaches one replica of `slot_id` (stopping/disconnecting it).
@@ -336,8 +337,8 @@ class ShardedPprService {
   /// drifted from its primary's is re-synced. Returns sources copied.
   int64_t SyncStandbys();
 
-  /// Brings up a new slot with one empty LOCAL replica (graph replicated
-  /// from a quiesced local peer), rebalancing ~1/(N+1) of the sources
+  /// Brings up a new slot with one empty LOCAL replica (graph and epoch
+  /// cloned from a quiesced local peer), rebalancing ~1/(N+1) of the sources
   /// onto it. Returns the new slot id, or -1 if the service is not
   /// running or no local shard exists to clone the graph from.
   int AddShard();
@@ -350,16 +351,16 @@ class ShardedPprService {
   /// or -1 on refusal.
   /// The feed contract — the remote's graph replica must match this
   /// router's — is ENFORCED at admission: the fleet is quiesced first and
-  /// the joiner's graph fingerprint (wire v3 kStats) must equal the
-  /// cohort's, so a stale replica is refused instead of silently serving
-  /// wrong answers.
+  /// the joiner's graph fingerprint and epoch (one kStats observation)
+  /// must equal the cohort's, so a stale or diverged replica is refused
+  /// instead of silently serving wrong answers.
   int AddRemoteShard(const std::string& host, int port);
 
   /// Joins a RUNNING remote shard that already OWNS sources — the
   /// recovery path: a shard process restarted from its data dir
   /// (`hub_server --listen --data_dir`) re-enters the fleet with its
-  /// persisted sources at their persisted epochs. Admission requires the
-  /// same graph fingerprint as the (quiesced) cohort and that none of the
+  /// persisted sources at their persisted epoch. Admission requires the
+  /// same feed position as the (quiesced) cohort and that none of the
   /// joiner's sources is still served elsewhere; its sources then
   /// redistribute under the grown ring as ordinary migrations — epochs
   /// carried, never regressed. Returns the new slot id, or -1 on refusal.
@@ -418,23 +419,28 @@ class ShardedPprService {
   std::unique_ptr<Shard> BuildShard(int id, const std::vector<Edge>& edges,
                                     VertexId num_vertices,
                                     std::vector<VertexId> sources) const;
-  /// Builds one LOCAL backend over its own graph replica.
+  /// Builds one LOCAL backend over its own graph replica, at `epoch`.
   std::unique_ptr<ShardBackend> BuildLocalBackend(
       const std::vector<Edge>& edges, VertexId num_vertices,
-      std::vector<VertexId> sources) const;
+      std::vector<VertexId> sources, uint64_t epoch = 1) const;
+  /// A source-less LOCAL backend over a copy of `donor`'s graph, at
+  /// `donor`'s epoch. The caller quiesced the fleet.
+  std::unique_ptr<ShardBackend> CloneLocalBackend(const PprIndex& donor) const;
+  /// mu_ held (any mode): the first live in-process index, or null.
+  const PprIndex* LocalDonorLocked() const;
   /// Connects and admission-checks a remote backend: reachable, running,
   /// same |V|, blobs fit a frame, and — with the fleet quiesced by the
-  /// caller — a graph fingerprint equal to the cohort's (wire v3
-  /// handshake). `expect_empty` additionally requires zero sources and a
-  /// zero feed frontier (fresh joiner); AdoptRemoteShard passes false to
-  /// admit a recovered shard with state. Null on refusal.
+  /// caller — the cohort's graph fingerprint and epoch, read from one
+  /// kStats observation. `expect_empty` additionally requires zero sources
+  /// (fresh joiner); AdoptRemoteShard passes false to admit a recovered
+  /// shard with state. Null on refusal.
   std::unique_ptr<RemoteShardBackend> DialRemoteBackend(
       const std::string& host, int port, bool expect_empty) const;
-  /// mu_ held (any mode): the first live replica's graph fingerprint, the
-  /// cohort reference the join handshake compares against (0 = no live
-  /// replica to compare against; the handshake then degrades to the
-  /// pre-v3 size check).
-  uint64_t ReferenceChecksumLocked() const;
+  /// mu_ held (any mode): the first live replica's feed position, the
+  /// cohort reference the join handshake compares against (zeros = no
+  /// live replica to compare against; the handshake then degrades to the
+  /// size check).
+  FeedPosition ReferencePositionLocked() const;
   /// mu_ held (any mode). Null if absent.
   Shard* FindShard(int shard_id) const;
   /// mu_ held (any mode). Null when the ring is empty.

@@ -67,8 +67,8 @@ void PprService::Start() {
     // equivalence suites.
     EstimatorOptions estimator_options = options_.estimator;
     estimator_options.alpha = index_->options().ppr.alpha;
-    estimator_ = std::make_unique<EstimatorIndex>(*index_->graph(),
-                                                  estimator_options);
+    estimator_ = std::make_unique<EstimatorIndex>(
+        *index_->graph(), estimator_options, index_->Epoch());
   }
   running_.store(true, std::memory_order_release);
   metrics_.MarkStart();
@@ -396,40 +396,34 @@ void PprService::ProcessMaintRun(std::vector<MaintRequest>* run) {
     }
     WallTimer timer;
     in_maintenance_.store(true, std::memory_order_release);
-    // The epoch advances by the number of REQUESTS folded in, not by one
-    // per ApplyBatch: coalescing is a timing artifact of this replica's
-    // queue, and a replica that merged the same requests differently must
-    // still land on the same per-source epoch (failover correctness).
-    if (end == i + 1) {
-      // WAL: the record (stamped with the coalesced increment) hits disk
-      // before the state moves, so a crash can only lose acknowledged-
-      // but-unapplied work, never applied-but-unlogged work. Log failure
-      // is fail-stop: continuing would silently break the durability
-      // contract restart relies on.
-      if (store_ != nullptr) {
-        const Status logged = store_->LogBatch(head.batch, 1);
-        DPPR_CHECK_MSG(logged.ok(), "batch log append failed");
-      }
-      index_->ApplyBatch(head.batch, /*epoch_increment=*/1);
-      if (estimator_) estimator_->ApplyBatch(head.batch, 1);
-    } else {
+    const UpdateBatch* batch = &head.batch;
+    if (end > i + 1) {
       merged.clear();
       merged.reserve(total);
       for (size_t j = i; j < end; ++j) {
-        const UpdateBatch& batch = (*run)[j].batch;
-        merged.insert(merged.end(), batch.begin(), batch.end());
+        merged.insert(merged.end(), (*run)[j].batch.begin(),
+                      (*run)[j].batch.end());
       }
-      if (store_ != nullptr) {
-        const Status logged =
-            store_->LogBatch(merged, static_cast<uint32_t>(end - i));
-        DPPR_CHECK_MSG(logged.ok(), "batch log append failed");
-      }
-      index_->ApplyBatch(merged, /*epoch_increment=*/end - i);
-      // The estimator replica sees the SAME merged feed: its walk RNG
-      // epochs count individual updates, so coalescing differences
-      // between replicas cannot desynchronize the walk index.
-      if (estimator_) estimator_->ApplyBatch(merged, end - i);
+      batch = &merged;
     }
+    // The epoch advances by the number of REQUESTS folded in, not by one
+    // per ApplyBatch: coalescing is a timing artifact of this replica's
+    // queue, and a replica that merged the same requests differently must
+    // still land on the same epoch (failover correctness). WAL: the record
+    // hits disk before the state moves, so a crash can only lose
+    // acknowledged-but-unapplied work, never applied-but-unlogged work.
+    // Log failure is fail-stop: continuing would silently break the
+    // durability contract restart relies on.
+    if (store_ != nullptr) {
+      const Status logged =
+          store_->LogBatch(*batch, static_cast<uint32_t>(end - i));
+      DPPR_CHECK_MSG(logged.ok(), "batch log append failed");
+    }
+    index_->ApplyBatch(*batch, end - i);
+    // The estimator replica sees the SAME merged feed (its walk RNGs are
+    // keyed by individual updates, so coalescing cannot desynchronize the
+    // walk index) and stamps its targets with the index's epoch.
+    if (estimator_) estimator_->ApplyBatch(*batch, index_->Epoch());
     in_maintenance_.store(false, std::memory_order_release);
     metrics_.RecordBatch(static_cast<int64_t>(total), timer.Millis());
     if (store_ != nullptr && store_->ShouldCheckpoint()) {

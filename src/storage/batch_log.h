@@ -4,12 +4,12 @@
 // source add/remove, an injected migration blob — is first appended here
 // (and optionally fsynced) as one length-prefixed, checksummed record.
 // Records carry the FEED SEQUENCE: the cumulative count of applied update
-// REQUESTS, the same unit per-source epochs advance by (a batch record at
-// seq S with increment N covers requests (S, S+N]; admin records carry
-// the current seq and advance nothing). Replaying the records in file
-// order through PprIndex therefore reproduces not just the state but the
-// exact per-source epochs — the property the cold-restart
-// no-epoch-regression check rests on.
+// REQUESTS, which is the index's epoch minus one (a batch record at seq S
+// with increment N covers requests (S, S+N]; admin records carry the
+// current seq and advance nothing). Replaying the records in file order
+// through PprIndex therefore reproduces not just the state but the exact
+// epoch — the property the cold-restart no-epoch-regression check rests
+// on.
 //
 // Record layout (all little-endian, see src/storage/README.md):
 //

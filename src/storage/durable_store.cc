@@ -17,8 +17,12 @@
 namespace dppr {
 namespace storage {
 
-DurableStore::DurableStore(std::string dir, DurableStoreOptions options)
-    : dir_(std::move(dir)), options_(options), spill_(dir_) {}
+DurableStore::DurableStore(std::string dir, DurableStoreOptions options,
+                           uint64_t feed_seq)
+    : dir_(std::move(dir)),
+      options_(options),
+      spill_(dir_),
+      feed_seq_(feed_seq) {}
 
 Status DurableStore::Open() {
   DPPR_CHECK(!opened_);
@@ -69,7 +73,10 @@ Status DurableStore::RestoreGraph(DynamicGraph* graph) const {
 Status DurableStore::Replay(PprIndex* index) {
   DPPR_CHECK(opened_ && index != nullptr);
   const uint64_t replay_offset = has_checkpoint_ ? manifest_.log_offset : 0;
-  feed_seq_ = has_checkpoint_ ? checkpoint_.feed_seq : 0;
+  feed_seq_ = has_checkpoint_ ? checkpoint_.feed_seq : index->Epoch() - 1;
+  // The feed position comes first: every checkpointed live source was
+  // published at it, and ImportSource refuses any other epoch.
+  index->SetEpoch(feed_seq_ + 1);
 
   if (has_checkpoint_) {
     for (ExportedSource& src : checkpoint_.sources) {
@@ -88,7 +95,7 @@ Status DurableStore::Replay(PprIndex* index) {
         DPPR_RETURN_NOT_OK(net::DecodeUpdateBatch(rec.payload, &batch));
         // History is rebuilt from the WHOLE log, not just the replayed
         // suffix: spill files on disk may predate the checkpoint.
-        RememberEndpoints(rec.seq, rec.increment, batch);
+        RememberEndpoints(rec.seq, batch);
         if (!apply) break;
         if (rec.seq != feed_seq_) {
           return Status::Corruption(
@@ -134,7 +141,14 @@ Status DurableStore::Replay(PprIndex* index) {
     }
   }
   log_.DropRecordPayloads();
-  return Status::OK();
+  return CheckInStep(*index);
+}
+
+Status DurableStore::CheckInStep(const PprIndex& index) const {
+  if (index.Epoch() == feed_seq_ + 1) return Status::OK();
+  return Status::Corruption("index at epoch " + std::to_string(index.Epoch()) +
+                            " but the log is at feed sequence " +
+                            std::to_string(feed_seq_));
 }
 
 Status DurableStore::AppendRecord(LogRecordType type, uint32_t increment,
@@ -148,11 +162,9 @@ Status DurableStore::AppendRecord(LogRecordType type, uint32_t increment,
   return log_.Append(rec);
 }
 
-void DurableStore::RememberEndpoints(uint64_t seq, uint32_t increment,
-                                     const UpdateBatch& batch) {
+void DurableStore::RememberEndpoints(uint64_t seq, const UpdateBatch& batch) {
   BatchEndpoints entry;
   entry.seq = seq;
-  entry.increment = increment;
   entry.endpoints.reserve(batch.size());
   for (const EdgeUpdate& update : batch) {
     entry.endpoints.push_back(update.u);
@@ -173,7 +185,7 @@ Status DurableStore::LogBatch(const UpdateBatch& batch, uint32_t increment) {
   net::EncodeUpdateBatch(batch, &payload);
   DPPR_RETURN_NOT_OK(
       AppendRecord(LogRecordType::kBatch, increment, std::move(payload)));
-  RememberEndpoints(feed_seq_, increment, batch);
+  RememberEndpoints(feed_seq_, batch);
   feed_seq_ += increment;
   ++batches_since_checkpoint_;
   return Status::OK();
@@ -204,6 +216,7 @@ bool DurableStore::ShouldCheckpoint() const {
 
 Status DurableStore::WriteCheckpoint(const PprIndex& index) {
   DPPR_CHECK(opened_);
+  DPPR_RETURN_NOT_OK(CheckInStep(index));
   CheckpointData data;
   data.feed_seq = feed_seq_;
   data.log_offset = log_.end_offset();

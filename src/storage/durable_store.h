@@ -12,12 +12,13 @@
 //
 // Recovery path: Open() scans the log (truncating a torn tail) and loads
 // the newest checkpoint via the manifest; RestoreGraph() swaps the
-// checkpointed graph in; Replay() imports the checkpointed sources and
-// re-applies every log record at or past the manifest offset, in order.
-// Because records carry the feed sequence and batch records carry the
-// exact coalesced increment, replay reproduces the exact per-source
-// epochs the pre-crash process published — restart can never answer with
-// a regressed epoch.
+// checkpointed graph in; Replay() sets the index's epoch from the
+// checkpoint, imports the checkpointed sources and re-applies every log
+// record at or past the manifest offset, in order. The feed sequence is
+// the index's epoch minus one, and batch records carry the exact
+// coalesced request count, so replay reproduces the exact epoch the
+// pre-crash process published — restart can never answer with a
+// regressed epoch.
 //
 // Spill path: MakeSpillHooks() returns the PprIndex callbacks. Eviction
 // writes the state to disk stamped with the current feed sequence;
@@ -63,7 +64,11 @@ struct DurableStoreOptions {
 
 class DurableStore {
  public:
-  explicit DurableStore(std::string dir, DurableStoreOptions options = {});
+  /// `feed_seq` is where an empty directory's log starts: the seed
+  /// state's feed sequence, so a replica cloned mid-feed logs from its
+  /// donor's position rather than from 0.
+  explicit DurableStore(std::string dir, DurableStoreOptions options = {},
+                        uint64_t feed_seq = 0);
 
   /// Creates the directory if needed, recovers the log (torn-tail
   /// truncation), loads the manifest + newest checkpoint when present.
@@ -73,7 +78,7 @@ class DurableStore {
   const CheckpointData& checkpoint() const { return checkpoint_; }
 
   /// Feed sequence: cumulative update requests applied (advanced by
-  /// LogBatch and by Replay).
+  /// LogBatch and by Replay) — the index's epoch minus one.
   uint64_t feed_seq() const { return feed_seq_; }
   uint64_t log_end_offset() const { return log_.end_offset(); }
   uint64_t log_truncated_bytes() const { return log_.truncated_bytes(); }
@@ -87,10 +92,13 @@ class DurableStore {
   Status RestoreGraph(DynamicGraph* graph) const;
 
   /// Rebuilds `index` (which must be empty-sourced over the graph
-  /// RestoreGraph produced): imports the checkpointed sources at their
-  /// exact epochs, then re-applies every log record from the manifest
-  /// offset on. Also rebuilds the spill catch-up history from the full
-  /// log and releases the recovered record payloads.
+  /// RestoreGraph produced): sets its epoch to the checkpoint's feed
+  /// position (without a checkpoint the index's seed epoch is the replay
+  /// base), imports the checkpointed sources, then re-applies every log
+  /// record from the manifest offset on. Also rebuilds the spill catch-up
+  /// history from the full log and releases the recovered record
+  /// payloads. Corruption if the index does not end at the log's feed
+  /// sequence.
   Status Replay(PprIndex* index);
 
   // --- WAL (call BEFORE applying the mutation; maintenance thread) ------
@@ -102,7 +110,8 @@ class DurableStore {
   // --- Checkpoint cadence ----------------------------------------------
   bool ShouldCheckpoint() const;
   /// Captures graph + every source of `index` at the current feed
-  /// sequence and publishes it through the manifest. The manifest swap is
+  /// sequence (Corruption if the index's epoch is not that sequence + 1)
+  /// and publishes it through the manifest. The manifest swap is
   /// the commit point; once it lands, the previous checkpoint generation
   /// and any spill blob whose source has left the index are unreachable,
   /// so both are garbage-collected (best-effort — a failed unlink costs
@@ -125,14 +134,14 @@ class DurableStore {
   /// started at and the distinct endpoints whose invariant it re-solved.
   struct BatchEndpoints {
     uint64_t seq = 0;
-    uint32_t increment = 0;
     std::vector<VertexId> endpoints;  ///< distinct update.u values
   };
 
   Status AppendRecord(LogRecordType type, uint32_t increment,
                       std::string payload);
-  void RememberEndpoints(uint64_t seq, uint32_t increment,
-                         const UpdateBatch& batch);
+  void RememberEndpoints(uint64_t seq, const UpdateBatch& batch);
+  /// OK iff `index`'s epoch is this store's feed sequence + 1.
+  Status CheckInStep(const PprIndex& index) const;
   bool Rematerialize(VertexId source, uint64_t slot_epoch, DynamicPpr* ppr);
   void CollectGarbage(std::vector<VertexId> live_sources);
 
@@ -144,7 +153,7 @@ class DurableStore {
   bool has_checkpoint_ = false;
   CheckpointData checkpoint_;
   Manifest manifest_;
-  uint64_t feed_seq_ = 0;
+  uint64_t feed_seq_;
   uint64_t batches_since_checkpoint_ = 0;
   uint64_t checkpoints_written_ = 0;
   uint64_t checkpoints_deleted_ = 0;

@@ -126,7 +126,7 @@ TEST(ReversePushTest, TracksForwardOracleUnderChurn) {
     for (const EdgeUpdate& update : workload.batches[b]) {
       oracle_graph.Apply(update);
     }
-    index.ApplyBatch(workload.batches[b], 1);
+    index.ApplyBatch(workload.batches[b], b + 1);
     EXPECT_EQ(index.epoch(), b + 1);
     EXPECT_EQ(index.GraphChecksum(), oracle_graph.Checksum())
         << "the private replica must track the applied feed exactly";
@@ -346,11 +346,13 @@ TEST(HybridTest, ReadsDuringMaintenanceStayInsideTheirInterval) {
       s = (s + 1) % workload.num_vertices;
     }
   });
-  for (const UpdateBatch& batch : workload.batches) index.ApplyBatch(batch, 1);
+  for (const UpdateBatch& batch : workload.batches) {
+    index.ApplyBatch(batch, &batch - workload.batches.data() + 1);
+  }
   done.store(true, std::memory_order_release);
   reader.join();
   for (const UpdateBatch& batch : workload.batches) {
-    reference.ApplyBatch(batch, 1);
+    reference.ApplyBatch(batch, &batch - workload.batches.data() + 1);
   }
 
   EXPECT_GT(reads, 0);

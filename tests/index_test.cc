@@ -431,7 +431,7 @@ TEST(PprIndexDynamicTest, AddSourceBitMatchesFreshIndex) {
   EXPECT_FALSE(index.AddSource(5)) << "duplicate AddSource must be refused";
   EXPECT_FALSE(index.AddSource(100000)) << "non-vertex must be refused";
   ASSERT_EQ(index.NumSources(), 3u);
-  EXPECT_EQ(index.SnapshotForSource(5)->epoch, 1u);
+  EXPECT_EQ(index.SnapshotForSource(5)->epoch, half + 1);
 
   // Evolve a second graph identically and build the reference index on it.
   DynamicGraph ref_graph = DynamicGraph::FromEdges(initial, 128);
@@ -558,9 +558,9 @@ TEST(PprIndexDynamicTest, ExportImportOfEvictedSourceStaysEvicted) {
   EXPECT_FALSE(to.IsMaterializedSource(0));
   EXPECT_EQ(to.QueryVertexForSource(0, 0).status,
             SourceReadResult::Status::kNotMaterialized);
-  // On-demand materialization publishes the NEXT epoch in sequence.
+  // On-demand materialization publishes at the index's epoch.
   ASSERT_TRUE(to.MaterializeSource(0));
-  EXPECT_EQ(to.SnapshotForSource(0)->epoch, 2u);
+  EXPECT_EQ(to.SnapshotForSource(0)->epoch, 1u);
   auto truth = PowerIterationPpr(g2, 0, PowerIterationOptions{});
   EXPECT_LE(MaxAbsError(to.SnapshotForSource(0)->estimates, truth),
             options.ppr.eps * 1.0001);
@@ -623,9 +623,8 @@ TEST(PprIndexDynamicTest, LruEvictionAndOnDemandMaterialization) {
   EXPECT_EQ(index.last_batch_stats().sources_pushed, 2);
   EXPECT_EQ(index.last_batch_stats().sources_skipped, 2);
 
-  // An eviction preserves the epoch; re-materialization resumes the
-  // sequence (epoch 2 here: Initialize + the post-batch publish was
-  // skipped for the evicted source, so its next publish is #2).
+  // An eviction freezes the epoch; re-materialization publishes at the
+  // index's epoch (2 here: Initialize + one batch).
   ASSERT_TRUE(index.MaterializeSource(0));
   EXPECT_EQ(index.SnapshotForSource(0)->epoch, 2u);
   auto truth0 = PowerIterationPpr(graph, 0, oracle_opt);

@@ -820,6 +820,51 @@ TEST(PprServerTest, TopKOutsideTheVectorIsAnsweredNotFatal) {
             RequestStatus::kOk);
 }
 
+TEST(PprServerTest, InjectOfAStateFromElsewhereIsRejectedNotFatal) {
+  auto edges = GenerateErdosRenyi(64, 400, 41);
+  IndexOptions iopt;
+  iopt.ppr.eps = 1e-5;
+  ServiceOptions sopt;
+  sopt.num_workers = 1;
+  ShardProcess shard(edges, 64, {1}, iopt, sopt);
+  net::RemoteShardClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", shard.server.port()).ok());
+  const auto inject = [&client](const ExportedSource& src) {
+    std::string blob;
+    EXPECT_TRUE(EncodeMigrationBlob(src, &blob).ok());
+    return client.InjectBlob(blob).status;
+  };
+
+  // Well-formed blobs, wrong payloads: a state over 128 vertices, and a
+  // live state at an epoch this shard is not at. Each is a refusal, and
+  // the shard keeps serving.
+  ExportedSource oversized;
+  oversized.source = 5;
+  oversized.epoch = 1;
+  oversized.materialized = true;
+  oversized.state = PprState(5, 128);
+  EXPECT_EQ(inject(oversized), RequestStatus::kRejected);
+  EXPECT_EQ(client.QueryVertexAsync(1, 1, 0).get().status,
+            RequestStatus::kOk);
+
+  DynamicGraph twin_graph = DynamicGraph::FromEdges(edges, 64);
+  PprIndex twin(&twin_graph, {5}, iopt);
+  twin.Initialize();
+  twin.ApplyBatch({EdgeUpdate::Insert(5, 6), EdgeUpdate::Delete(5, 6)});
+  ExportedSource ahead;
+  ASSERT_TRUE(twin.PeekSource(5, &ahead));
+  ASSERT_EQ(ahead.epoch, 2u);
+  EXPECT_EQ(inject(ahead), RequestStatus::kRejected);
+  EXPECT_EQ(client.QueryVertexAsync(1, 1, 0).get().status,
+            RequestStatus::kOk);
+
+  // Control: the same state at this shard's epoch installs.
+  ahead.epoch = 1;
+  EXPECT_EQ(inject(ahead), RequestStatus::kOk);
+  EXPECT_EQ(client.QueryVertexAsync(5, 5, 0).get().status,
+            RequestStatus::kOk);
+}
+
 TEST(PprServerTest, BothEndsOfAConnectionTurnNagleOff) {
   net::ScopedFd listener;
   int port = 0;
@@ -1110,6 +1155,39 @@ TEST(RemoteShardTest, KilledRemoteShardShedsCleanlyInsteadOfHanging) {
       EXPECT_EQ(router.Query(hub, hub).status, RequestStatus::kOk);
     }
   }
+  router.Stop();
+}
+
+TEST(RemoteShardTest, JoinerAtAnotherFeedPositionIsRefused) {
+  auto edges = GenerateErdosRenyi(64, 400, 37);
+  IndexOptions iopt;
+  iopt.ppr.eps = 1e-5;
+  ServiceOptions sopt;
+  sopt.num_workers = 1;
+  // An insert and a delete of one edge: the joiner's graph fingerprint is
+  // back where it started, its feed position is not.
+  ShardProcess diverged(edges, 64, {}, iopt, sopt);
+  ASSERT_EQ(diverged.service
+                .ApplyUpdatesAsync(
+                    {EdgeUpdate::Insert(3, 4), EdgeUpdate::Delete(3, 4)})
+                .get()
+                .status,
+            RequestStatus::kOk);
+  ASSERT_EQ(diverged.graph.Checksum(),
+            DynamicGraph::FromEdges(edges, 64).Checksum());
+  ShardProcess fresh(edges, 64, {}, iopt, sopt);
+
+  ShardedServiceOptions ropt;
+  ropt.num_shards = 1;
+  ropt.index = iopt;
+  ropt.service = sopt;
+  ShardedPprService router(edges, 64, {1, 2, 3}, ropt);
+  router.Start();
+  EXPECT_LT(router.AddRemoteShard("127.0.0.1", diverged.server.port()), 0)
+      << "a joiner that consumed a feed the cohort did not is refused";
+  EXPECT_EQ(router.NumShards(), 1u);
+  EXPECT_GE(router.AddRemoteShard("127.0.0.1", fresh.server.port()), 0)
+      << "a joiner at the cohort's position is admitted";
   router.Stop();
 }
 

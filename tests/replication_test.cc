@@ -28,6 +28,7 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,12 @@ namespace dppr {
 namespace {
 
 constexpr double kEps = 1e-6;
+
+/// How long a read waits for an on-demand rebuild in the sequential
+/// capped runs. The 100 ms default answers kNotMaterialized when a
+/// loaded machine slows the rebuild, which is a timing outcome, not an
+/// epoch one; the wait ends as soon as the source is rebuilt.
+constexpr std::chrono::seconds kRebuildWait{10};
 
 IndexOptions TestIndexOptions() {
   IndexOptions options;
@@ -166,6 +173,60 @@ TEST(ReplicaSetTest, StandbyIsNeverBehindAnEpochThePrimaryServed) {
   const QueryResponse promoted = set->Read(Point(1, 1)).get();
   ASSERT_EQ(promoted.status, RequestStatus::kOk);
   EXPECT_GE(promoted.epoch, highest)
+      << "a promoted standby must never regress an epoch";
+  set->Stop();
+}
+
+TEST(ReplicaSetTest, LruCapNeverRegressesAPromotedEpoch) {
+  // Each replica's LRU follows its own read traffic, so the primary and
+  // the standby keep different sources live. The epoch belongs to the
+  // replica's feed position, not to a source's publish history, so a
+  // source rebuilt on either replica serves the same epoch.
+  auto edges = GenerateErdosRenyi(64, 400, 27);
+  IndexOptions capped = TestIndexOptions();
+  capped.max_materialized_sources = 1;
+  ServiceOptions service_options = TestServiceOptions();
+  service_options.materialize_wait = kRebuildWait;
+  auto set = std::make_shared<ReplicaSet>();
+  for (int r = 0; r < 2; ++r) {
+    set->AddReplica(std::make_unique<LocalShardBackend>(
+        edges, 64, std::vector<VertexId>{1, 2}, capped, service_options));
+  }
+  set->Start();
+
+  // Only the primary sees this read: it materializes source 2 there.
+  ASSERT_EQ(set->Read(Point(2, 2)).get().status, RequestStatus::kOk);
+  std::mt19937 rng(27);
+  for (int b = 0; b < 5; ++b) {
+    const UpdateBatch batch = {
+        EdgeUpdate::Insert(static_cast<VertexId>(rng() % 64),
+                           static_cast<VertexId>(rng() % 64))};
+    ASSERT_EQ(set->Feed({.verb = Verb::kApplyUpdates, .batch = batch})
+                  .get()
+                  .status,
+              RequestStatus::kOk);
+  }
+  const QueryResponse served = set->Read(Point(2, 2)).get();
+  ASSERT_EQ(served.status, RequestStatus::kOk);
+  EXPECT_EQ(served.epoch, 6u) << "Initialize + five update requests";
+
+  // Quiesced: every replica answers every source at that epoch.
+  ASSERT_EQ(set->Feed({.verb = Verb::kQuiesce}).get().status,
+            RequestStatus::kOk);
+  for (int r = 0; r < 2; ++r) {
+    for (const VertexId s : {1, 2}) {
+      const QueryResponse answer =
+          set->ReplicaBackend(r)->Read(Point(s, s)).get();
+      ASSERT_EQ(answer.status, RequestStatus::kOk);
+      EXPECT_EQ(answer.epoch, served.epoch)
+          << "replica " << r << " source " << s;
+    }
+  }
+
+  ASSERT_TRUE(set->ReplicaBackend(0)->Sever());
+  const QueryResponse promoted = set->Read(Point(2, 2)).get();
+  ASSERT_EQ(promoted.status, RequestStatus::kOk);
+  EXPECT_GE(promoted.epoch, served.epoch)
       << "a promoted standby must never regress an epoch";
   set->Stop();
 }
@@ -454,7 +515,21 @@ ReplicationWorkload MakeWorkload(int num_hubs, uint64_t seed) {
   return workload;
 }
 
-TEST(ReplicationRouterTest, ReplicatedRouterMatchesUnshardedOracle) {
+/// The LRU cap the router suites also run under: below every slot's hub
+/// count, so reads keep evicting and rebuilding sources on each replica.
+constexpr size_t kLruCap = 2;
+
+/// Under a cap, asserts it was exercised: some replica evicted a source.
+void ExpectEvictionsUnderCap(size_t max_materialized,
+                             const RouterReport& report) {
+  if (max_materialized > 0) {
+    EXPECT_GT(report.combined.sources_evicted, 0) << "the cap never bit";
+  }
+}
+
+void RunReplicatedRouterMatchesUnshardedOracle(size_t max_materialized) {
+  SCOPED_TRACE("max_materialized_sources=" +
+               std::to_string(max_materialized));
   ReplicationWorkload workload = MakeWorkload(6, 31);
 
   // The PR 3 oracle: one unsharded serving stack.
@@ -470,7 +545,9 @@ TEST(ReplicationRouterTest, ReplicatedRouterMatchesUnshardedOracle) {
   options.replicas = 2;
   options.vnodes_per_shard = 32;
   options.index = TestIndexOptions();
+  options.index.max_materialized_sources = max_materialized;
   options.service = TestServiceOptions();
+  if (max_materialized > 0) options.service.materialize_wait = kRebuildWait;
   ShardedPprService router(workload.initial, workload.num_vertices,
                            workload.hubs, options);
   router.Start();
@@ -518,10 +595,16 @@ TEST(ReplicationRouterTest, ReplicatedRouterMatchesUnshardedOracle) {
                   2 * kEps + 1e-12);
     }
   }
-  EXPECT_EQ(router.Report().failovers,
-            static_cast<int64_t>(router.NumShards()));
+  const RouterReport report = router.Report();
+  EXPECT_EQ(report.failovers, static_cast<int64_t>(router.NumShards()));
+  ExpectEvictionsUnderCap(max_materialized, report);
   reference.Stop();
   router.Stop();
+}
+
+TEST(ReplicationRouterTest, ReplicatedRouterMatchesUnshardedOracle) {
+  RunReplicatedRouterMatchesUnshardedOracle(0);
+  RunReplicatedRouterMatchesUnshardedOracle(kLruCap);
 }
 
 TEST(ReplicationRouterTest, AddReplicaSyncsAndServesAfterPrimaryKill) {
@@ -615,17 +698,20 @@ TEST(ReplicationRouterTest, AntiEntropyRepairsDriftedStandby) {
   router.Stop();
 }
 
-TEST(ReplicationRouterTest, ChaosPrimaryKillUnderConcurrentLoad) {
+void RunChaosPrimaryKillUnderConcurrentLoad(size_t max_materialized) {
   // 4 clients hammer a replicas=2 fleet while a feeder streams batches;
   // halfway through, every slot's primary is severed. The acceptance
   // bar: zero kUnavailable answers EVER (the failover happens inside the
   // request), per-source epochs never regress, and every hub is readable
   // afterwards. TSan runs this.
+  SCOPED_TRACE("max_materialized_sources=" +
+               std::to_string(max_materialized));
   ReplicationWorkload workload = MakeWorkload(8, 41);
   ShardedServiceOptions options;
   options.num_shards = 2;
   options.replicas = 2;
   options.index = TestIndexOptions();
+  options.index.max_materialized_sources = max_materialized;
   options.service = TestServiceOptions();
   ShardedPprService router(workload.initial, workload.num_vertices,
                            workload.hubs, options);
@@ -684,10 +770,16 @@ TEST(ReplicationRouterTest, ChaosPrimaryKillUnderConcurrentLoad) {
   }
   const RouterReport report = router.Report();
   EXPECT_EQ(report.failovers, static_cast<int64_t>(router.NumShards()));
+  ExpectEvictionsUnderCap(max_materialized, report);
   router.Stop();
 }
 
-TEST(ReplicationRouterTest, ChaosRoundRobinReadsHonorStalenessBound) {
+TEST(ReplicationRouterTest, ChaosPrimaryKillUnderConcurrentLoad) {
+  RunChaosPrimaryKillUnderConcurrentLoad(0);
+  RunChaosPrimaryKillUnderConcurrentLoad(kLruCap);
+}
+
+void RunChaosRoundRobinReadsHonorStalenessBound(size_t max_materialized) {
   // The bounded-staleness contract under fire: 4 clients read through
   // kRoundRobinLive (two of them pinned sessions, two unpinned) while a
   // feeder streams batches and every slot's primary is severed halfway.
@@ -698,6 +790,8 @@ TEST(ReplicationRouterTest, ChaosRoundRobinReadsHonorStalenessBound) {
   // sessions must stay per-source monotonic across the primary kills,
   // and afterwards the per-replica read counters must add up EXACTLY to
   // the OK answers the clients counted. TSan runs this.
+  SCOPED_TRACE("max_materialized_sources=" +
+               std::to_string(max_materialized));
   constexpr int64_t kLag = 2;
   ReplicationWorkload workload = MakeWorkload(8, 47);
   ShardedServiceOptions options;
@@ -706,6 +800,7 @@ TEST(ReplicationRouterTest, ChaosRoundRobinReadsHonorStalenessBound) {
   options.read_policy = ReadPolicy::kRoundRobinLive;
   options.max_epoch_lag = kLag;
   options.index = TestIndexOptions();
+  options.index.max_materialized_sources = max_materialized;
   options.service = TestServiceOptions();
   ShardedPprService router(workload.initial, workload.num_vertices,
                            workload.hubs, options);
@@ -791,12 +886,18 @@ TEST(ReplicationRouterTest, ChaosRoundRobinReadsHonorStalenessBound) {
   EXPECT_EQ(per_replica_total, ok_reads.load());
   EXPECT_EQ(static_cast<int64_t>(report.staleness.Count()),
             ok_reads.load());
+  ExpectEvictionsUnderCap(max_materialized, report);
   // Every hub still readable (these reads land after the report
   // snapshot, so the equalities above stay exact).
   for (VertexId hub : workload.hubs) {
     EXPECT_EQ(router.Query(hub, hub).status, RequestStatus::kOk) << hub;
   }
   router.Stop();
+}
+
+TEST(ReplicationRouterTest, ChaosRoundRobinReadsHonorStalenessBound) {
+  RunChaosRoundRobinReadsHonorStalenessBound(0);
+  RunChaosRoundRobinReadsHonorStalenessBound(kLruCap);
 }
 
 TEST(ReplicationRouterTest, OldTopologyCallsWorkOnReplicatedSlots) {

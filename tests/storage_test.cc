@@ -334,6 +334,38 @@ TEST(DurableStoreTest, RecoveryAfterRecoveryIsStable) {
   twice.Stop();
 }
 
+TEST(DurableStoreTest, ReplicaSeededMidFeedLogsFromItsEpoch) {
+  // A replica cloned mid-feed starts at its donor's epoch: its empty data
+  // directory logs from that position, and recovery lands on it.
+  TempDir dir;
+  StorageWorkload workload = MakeWorkload(2, 53);
+  {
+    LocalShardBackend clone(workload.initial, workload.num_vertices,
+                            workload.hubs, TestIndexOptions(),
+                            TestServiceOptions(), dir.path(), {},
+                            /*epoch=*/5);
+    clone.Start();
+    ASSERT_FALSE(clone.recovered());
+    EXPECT_EQ(clone.MaxEpoch(), 5u);
+    ASSERT_EQ(clone.Feed({.verb = Verb::kApplyUpdates,
+                          .batch = workload.batches[0]})
+                  .get()
+                  .status,
+              RequestStatus::kOk);
+    EXPECT_EQ(clone.MaxEpoch(), 6u);
+    clone.Stop();
+  }
+  LocalShardBackend restarted(workload.initial, workload.num_vertices, {},
+                              TestIndexOptions(), TestServiceOptions(),
+                              dir.path(), {});
+  restarted.Start();
+  ASSERT_TRUE(restarted.recovered());
+  EXPECT_EQ(restarted.MaxEpoch(), 6u);
+  EXPECT_EQ(restarted.store()->feed_seq(), 5u);
+  EXPECT_EQ(restarted.NumSources(), workload.hubs.size());
+  restarted.Stop();
+}
+
 // ------------------------------------------------------------ spilling
 
 TEST(DurableStoreTest, SpillRematerializeMatchesRecompute) {
